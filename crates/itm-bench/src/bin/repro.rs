@@ -75,7 +75,9 @@
 //! `light`), each followed by an *incremental* rebuild that recomputes
 //! only the campaigns the churn invalidated. Per-epoch rows land in
 //! `results/epoch_metrics.json`; with `--snapshot` every epoch's map is
-//! serialized to `<path>.epochK` (and the final epoch to `<path>` itself).
+//! serialized to `<path>.epochK` (and the final epoch to `<path>` itself);
+//! with `--metrics`, `metrics.json` covers the whole loop (span tree of
+//! the full build and every incremental rebuild, counters, resources).
 //! `--epoch-verify` additionally runs a from-scratch build each epoch,
 //! asserts the incremental map is byte-identical (exit 1 on divergence),
 //! and appends one incremental-vs-full speedup row per epoch to the
@@ -227,7 +229,8 @@ fn usage() -> String {
          --epochs runs the continuous-map loop: one full build, then N \
          epochs of deterministic churn (--epoch-plan, default light) each \
          followed by an incremental rebuild; rows land in \
-         <out>/epoch_metrics.json, --epoch-verify asserts byte-identity \
+         <out>/epoch_metrics.json (and <out>/metrics.json with --metrics), \
+         --epoch-verify asserts byte-identity \
          against a from-scratch build every epoch and records speedup \
          rows to BENCH_epoch.json (override with --bench-out); \
          an --epoch-plan FILE is a JSON object with any of: \
@@ -1139,6 +1142,59 @@ fn run_diff(args: &Args, path_a: &str, path_b: &str) -> ! {
     std::process::exit(0);
 }
 
+/// Turn on the metrics registry and allocation profiling (`--metrics`).
+/// Map bytes are unaffected either way.
+fn enable_metrics() {
+    itm_obs::set_enabled(true);
+    itm_obs::reset();
+    // Metrics runs profile memory too: metrics.json gains a `resources`
+    // section (peak RSS, tracked bytes, per-phase attribution).
+    itm_obs::alloc::set_enabled(true);
+    itm_obs::alloc::reset();
+    // Pre-register the headline probe counters so metrics.json always
+    // carries them (at zero) even when a run skips a technique.
+    itm_obs::counter_with("probe.queries", &[("technique", "cache_probe")]);
+    itm_obs::counter_with("probe.queries", &[("technique", "ecs_mapping")]);
+    itm_obs::counter_with("probe.log_lines", &[("technique", "root_crawl")]);
+    itm_obs::counter_with("probe.pings", &[("technique", "ipid_probe")]);
+    itm_obs::counter_with("probe.connects", &[("technique", "tls_scan")]);
+    itm_obs::counter_with("probe.connects", &[("technique", "sni_scan")]);
+}
+
+/// Write `<out_dir>/metrics.json`: counters, histograms, the span tree
+/// and resources, plus `map`'s per-technique fault accounting when it
+/// was built with faults on.
+fn write_metrics(out_dir: &str, map: Option<&TrafficMap>) {
+    let mut v = itm_obs::snapshot().to_json();
+    // A faulted metrics run surfaces the per-technique fault accounting
+    // here too, not only in the map summary: issued = observed +
+    // degraded + lost per technique.
+    if let Some(map) = map {
+        if !map.fault_report.is_empty() {
+            if let serde_json::Value::Object(root) = &mut v {
+                let mut faults = serde_json::Map::new();
+                for (technique, st) in &map.fault_report {
+                    faults.insert(
+                        technique.clone(),
+                        serde_json::json!({
+                            "issued": st.issued(),
+                            "observed": st.observed,
+                            "degraded": st.degraded,
+                            "lost": st.lost,
+                            "retries": st.retries,
+                        }),
+                    );
+                }
+                root.insert("faults".into(), serde_json::Value::Object(faults));
+            }
+        }
+    }
+    let path = format!("{out_dir}/metrics.json");
+    let text = serde_json::to_string_pretty(&v).expect("serializable");
+    std::fs::write(&path, text).expect("write metrics");
+    eprintln!("wrote {path}");
+}
+
 /// The `--epochs` mode: one full build, then N epochs of deterministic
 /// churn, each followed by an incremental rebuild of exactly the dirty
 /// campaigns. Per-epoch rows land in `<out>/epoch_metrics.json`; with
@@ -1164,6 +1220,10 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
     let snap_base: Option<String> = args.snapshot.as_ref().map(|_| snapshot_path(args));
     if let Some(base) = &snap_base {
         require_writable_file(base);
+    }
+    if args.metrics {
+        require_writable_file(&format!("{}/metrics.json", args.out_dir));
+        enable_metrics();
     }
 
     let cfg = config_for(&args.size);
@@ -1299,6 +1359,9 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
     let text = serde_json::to_string_pretty(&doc).expect("serializable");
     std::fs::write(&metrics_path, text).expect("write epoch metrics");
     eprintln!("wrote {metrics_path}");
+    if args.metrics {
+        write_metrics(&args.out_dir, Some(&map));
+    }
     if args.epoch_verify {
         append_bench_rows(&bench_out, &bench_rows);
         eprintln!(
@@ -1782,21 +1845,7 @@ fn main() {
     }
 
     if args.metrics {
-        itm_obs::set_enabled(true);
-        itm_obs::reset();
-        // Metrics runs profile memory too: metrics.json gains a
-        // `resources` section (peak RSS, tracked bytes, per-phase
-        // attribution). Map bytes are unaffected either way.
-        itm_obs::alloc::set_enabled(true);
-        itm_obs::alloc::reset();
-        // Pre-register the headline probe counters so metrics.json always
-        // carries them (at zero) even when a run skips a technique.
-        itm_obs::counter_with("probe.queries", &[("technique", "cache_probe")]);
-        itm_obs::counter_with("probe.queries", &[("technique", "ecs_mapping")]);
-        itm_obs::counter_with("probe.log_lines", &[("technique", "root_crawl")]);
-        itm_obs::counter_with("probe.pings", &[("technique", "ipid_probe")]);
-        itm_obs::counter_with("probe.connects", &[("technique", "tls_scan")]);
-        itm_obs::counter_with("probe.connects", &[("technique", "sni_scan")]);
+        enable_metrics();
     }
 
     let cfg = config_for(&args.size);
@@ -1994,35 +2043,7 @@ fn main() {
     }
 
     if args.metrics {
-        let report = itm_obs::snapshot();
-        let mut v = report.to_json();
-        // A faulted metrics run surfaces the per-technique fault
-        // accounting here too, not only in the map summary: issued =
-        // observed + degraded + lost per technique.
-        if let Some(map) = &map {
-            if !map.fault_report.is_empty() {
-                if let serde_json::Value::Object(root) = &mut v {
-                    let mut faults = serde_json::Map::new();
-                    for (technique, st) in &map.fault_report {
-                        faults.insert(
-                            technique.clone(),
-                            serde_json::json!({
-                                "issued": st.issued(),
-                                "observed": st.observed,
-                                "degraded": st.degraded,
-                                "lost": st.lost,
-                                "retries": st.retries,
-                            }),
-                        );
-                    }
-                    root.insert("faults".into(), serde_json::Value::Object(faults));
-                }
-            }
-        }
-        let path = format!("{}/metrics.json", args.out_dir);
-        let text = serde_json::to_string_pretty(&v).expect("serializable");
-        std::fs::write(&path, text).expect("write metrics");
-        eprintln!("wrote {path}");
+        write_metrics(&args.out_dir, map.as_ref());
     }
 
     if let Some(path) = &trace_file {

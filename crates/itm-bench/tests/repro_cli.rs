@@ -686,6 +686,48 @@ fn epoch_plan_errors_exit_2_with_usage() {
 }
 
 #[test]
+fn epoch_loop_honours_metrics() {
+    let dir = scratch().join("epoch-metrics-out");
+    let out = repro(&[
+        "--epochs",
+        "1",
+        "--size",
+        "small",
+        "--seed",
+        "29",
+        "--metrics",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = std::fs::read_to_string(dir.join("metrics.json"))
+        .expect("--epochs --metrics writes <out>/metrics.json");
+    let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+
+    // The span tree covers the epoch-0 full build and the incremental
+    // rebuild, each with the resolver deploy under it.
+    let spans = match v.get("spans") {
+        Some(serde_json::Value::Object(m)) => m,
+        other => panic!("metrics.json lacks the span tree: {other:?}"),
+    };
+    for path in [
+        "map.build",
+        "map.build/users.activity/resolver.deploy",
+        "epoch.apply",
+        "map.build_incremental",
+        "map.build_incremental/resolver.deploy",
+    ] {
+        assert!(spans.get(path).is_some(), "no span {path}: {text}");
+    }
+    assert!(
+        v.get("resources").is_some(),
+        "metrics.json lacks resources: {text}"
+    );
+    // The per-epoch rows are still written alongside.
+    assert!(dir.join("epoch_metrics.json").exists());
+}
+
+#[test]
 fn epoch_loop_runs_end_to_end_and_verifies_byte_identity() {
     let dir = scratch().join("epoch-e2e-out");
     let bench = scratch().join("epoch-e2e-bench.json");

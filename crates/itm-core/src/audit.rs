@@ -175,8 +175,19 @@ impl MapClaims {
             cache_prefix,
             root_as,
         };
+        // Cells come in service runs: look the run's per-service tables
+        // up once, not twice per cell.
+        let mut cell_bits = std::mem::take(&mut claims.cell_bits);
+        let mut run_svc = None;
+        let (mut anycast, mut tls): (&[Option<Asn>], &[Option<Asn>]) = (&[], &[]);
         for c in map.user_mapping.mapping.iter() {
             let (svc, p) = (c.service, c.prefix);
+            if run_svc != Some(svc) {
+                run_svc = Some(svc);
+                anycast = claims.anycast_site_as.get(&svc).map_or(&[], Vec::as_slice);
+                tls = claims.tls_nearest_as.get(&svc).map_or(&[], Vec::as_slice);
+            }
+            let claimed = |table: &[Option<Asn>], k: usize| matches!(table.get(k), Some(Some(_)));
             let rec = s.topo.prefixes.get(p);
             let mut b = bits::ECS | bits::CATALOG_PRIOR;
             if claims.cache_claim(p) {
@@ -185,14 +196,15 @@ impl MapClaims {
             if claims.root_claim(rec.owner) {
                 b |= bits::ROOT_CRAWL;
             }
-            if claims.anycast_claim(svc, rec.owner).is_some() {
+            if claimed(anycast, rec.owner.index()) {
                 b |= bits::ANYCAST;
             }
-            if claims.tls_claim(svc, rec.city).is_some() {
+            if claimed(tls, rec.city as usize) {
                 b |= bits::TLS_NEAREST;
             }
-            claims.cell_bits.push(b);
+            cell_bits.push(b);
         }
+        claims.cell_bits = cell_bits;
         claims
     }
 

@@ -113,6 +113,7 @@ pub fn apply_epoch(
     plan: &EpochPlan,
     epoch: u32,
 ) -> (Vec<EpochAction>, DirtySet) {
+    let _span = itm_obs::span("epoch.apply");
     let sites = resolver_sites(s);
     let links = flappable_links(s);
     let vms = cloud_vm_sites(s);
@@ -199,15 +200,23 @@ pub fn build_incremental(
         claims: _,
     } = prev;
 
-    // The resolver deployment is cheap relative to any campaign and is a
-    // pure function of the substrate, so it is redeployed unconditionally
-    // rather than threading an Option through the dirty branches.
+    // The resolver is a pure function of the substrate, redeployed every
+    // epoch. Deploying it is one nearest-PoP pass over the prefixes; the
+    // PoP-wide rate table (a `prefixes × services` demand sweep) is built
+    // lazily, only if cache probing re-runs and reads it.
+    let resolver_span = itm_obs::span("resolver.deploy");
     let resolver = s
         .open_resolver()
         .map_err(|e| ItmError::in_campaign("map.build_incremental", e))?;
+    drop(resolver_span);
+
+    // A recomputed component's predecessor is dropped before its
+    // replacement is built: it is never read again, and freeing it first
+    // lowers the epoch's peak.
 
     // ---- Component 1: users + activity ----
     let cache_result = if dirty.is_dirty(Campaign::CacheProbe) {
+        drop(prev_cache);
         cfg.cache_probe
             .run_with_faults(s, &resolver, &injector("cache_probe"), |n, job| {
                 exec.map(n, job)
@@ -216,6 +225,7 @@ pub fn build_incremental(
         prev_cache
     };
     let root_result = if dirty.is_dirty(Campaign::RootCrawl) {
+        drop(prev_root);
         cfg.root_crawl
             .run_with_faults(s, &resolver, &injector("root_crawl"), |n, job| {
                 exec.map(n, job)
@@ -224,6 +234,7 @@ pub fn build_incremental(
         prev_root
     };
     let activity = if dirty.is_dirty(Campaign::Activity) {
+        drop(prev_activity);
         ActivityEstimator::fuse_with(s, &cache_result, &root_result, |n, job| exec.map(n, job))
     } else {
         prev_activity
@@ -275,6 +286,7 @@ pub fn build_incremental(
     let user_mapping = if dirty.is_dirty(Campaign::UserMapping) {
         if dirty.services.is_empty() {
             // Dirty with no named services = invalidated wholesale.
+            drop(prev_mapping);
             UserMapping::measure_with_faults(s, &resolver, &injector("user_mapping"), |n, job| {
                 exec.map(n, job)
             })
@@ -297,7 +309,9 @@ pub fn build_incremental(
     // Ground-truth view for catchments and cloud probing; cheap to derive
     // and only consulted by the dirty branches below.
     let full = s.full_view();
+    let anycast_span = itm_obs::span("services.anycast");
     let catchments = if dirty.is_dirty(Campaign::Anycast) {
+        drop(prev_catchments);
         let anycast_services: Vec<ServiceId> = s
             .catalog
             .services
@@ -326,9 +340,12 @@ pub fn build_incremental(
     } else {
         prev_catchments
     };
+    drop(anycast_span);
 
     // ---- Component 3: routes ----
+    let routes_span = itm_obs::span("routes.assemble");
     let (route_view, visibility, cloud_result) = if dirty.is_dirty(Campaign::Routes) {
+        drop((prev_route_view, prev_visibility, prev_cloud));
         let collectors = CollectorSet::typical(&s.topo, &s.seeds);
         let (public_view, visibility) = collectors.public_view(&s.topo);
         let cloud_result = CloudProbeResult::run_with_faults(
@@ -344,6 +361,7 @@ pub fn build_incremental(
     } else {
         (prev_route_view, prev_visibility, prev_cloud)
     };
+    drop(routes_span);
 
     // Fault accounting: fresh stats for recomputed campaigns, the
     // previous build's entries (identical by the purity argument) for

@@ -132,9 +132,11 @@ impl TrafficMap {
 
         // ---- Component 1: users + activity ----
         let users_span = itm_obs::span("users.activity");
+        let resolver_span = itm_obs::span("resolver.deploy");
         let resolver = s
             .open_resolver()
             .map_err(|e| ItmError::in_campaign("map.build", e))?;
+        drop(resolver_span);
         let cache_result =
             cfg.cache_probe
                 .run_with_faults(s, &resolver, &injector("cache_probe"), |n, job| {

@@ -6,8 +6,9 @@
 //! from [`MapClaims`] (recorded at build time or rebuilt here, identical
 //! either way), adjacency from the route view's sorted neighbor lists —
 //! so the bytes are identical at any `--threads` and across runs with the
-//! same seed. The reverse index and front-end table are derived with
-//! explicit, deterministic sorts.
+//! same seed. The reverse index is a stable radix sort of cell indices by
+//! address, and the front-end table is that sorted run deduplicated and
+//! merged with the footprint sets — both deterministic.
 //!
 //! [`CellMap`]: itm_types::CellMap
 //! [`MapClaims`]: crate::audit::MapClaims
@@ -18,7 +19,6 @@ use itm_measure::Substrate;
 use itm_topology::NeighborKind;
 use itm_types::snap::{rel, section, SnapWriter};
 use itm_types::{Asn, DomainTable, ItmError, Result};
-use std::collections::BTreeSet;
 
 /// Map a topology relationship onto its on-disk code.
 fn rel_code(kind: NeighborKind) -> u8 {
@@ -88,32 +88,35 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
 
     // Claim bitmaps, aligned with the cell columns. The recorded table is
     // in the same iteration order, so it maps through directly.
-    let rebuilt;
-    let claims = match &map.claims {
-        Some(c) => c,
-        None => {
-            rebuilt = MapClaims::record(s, map);
-            &rebuilt
-        }
+    let mut cell_bits = match &map.claims {
+        Some(c) => c.cell_bits.clone(),
+        None => MapClaims::record(s, map).cell_bits,
     };
-    let mut cell_bits = claims.cell_bits.clone();
     cell_bits.resize(n_cells, bits::ECS | bits::CATALOG_PRIOR);
 
     // Reverse index: cell indices ordered by (serving address, index).
-    let mut cell_rev: Vec<u32> = (0..n_cells as u32).collect();
-    cell_rev.sort_by_key(|&i| (cell_addr[i as usize], i));
+    let cell_rev = rev_index(&cell_addr);
 
-    // ---- Front-end table: every distinct serving address the map knows.
-    let mut fronts: BTreeSet<u32> = cell_addr.iter().copied().collect();
+    // ---- Front-end table: every distinct serving address the map knows —
+    // the distinct addresses of the reverse index's sorted run, plus the
+    // (small) ECS and SNI footprint sets.
+    let mut front_addr: Vec<u32> = Vec::new();
+    for &i in &cell_rev {
+        let a = cell_addr[i as usize];
+        if front_addr.last() != Some(&a) {
+            front_addr.push(a);
+        }
+    }
     for addrs in map
         .user_mapping
         .footprint
         .values()
         .chain(map.sni_footprints.values())
     {
-        fronts.extend(addrs.iter().map(|a| a.0));
+        front_addr.extend(addrs.iter().map(|a| a.0));
     }
-    let front_addr: Vec<u32> = fronts.into_iter().collect();
+    front_addr.sort_unstable();
+    front_addr.dedup();
     let front_owner: Vec<u32> = front_addr
         .iter()
         .map(|&a| {
@@ -139,7 +142,9 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
         route_off.push(route_nbr.len() as u64);
     }
 
-    // ---- Assemble, sections in id order.
+    // ---- Assemble, sections in id order. Each cell column is dropped as
+    // soon as it is written, so the writer's buffer grows while they
+    // shrink.
     let meta = [
         s.seed,
         n_ases as u64,
@@ -159,15 +164,66 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
     w.section_u32(section::PFX_SORTED, &pfx_sorted);
     w.section_u64(section::CELL_SVC_OFF, &cell_svc_off);
     w.section_u32(section::CELL_PREFIX, &cell_prefix);
+    drop(cell_prefix);
     w.section_u32(section::CELL_ADDR, &cell_addr);
+    drop(cell_addr);
     w.section_u8(section::CELL_BITS, &cell_bits);
+    drop(cell_bits);
     w.section_u32(section::CELL_REV, &cell_rev);
+    drop(cell_rev);
     w.section_u32(section::FRONT_ADDR, &front_addr);
     w.section_u32(section::FRONT_OWNER, &front_owner);
     w.section_u64(section::ROUTE_OFF, &route_off);
     w.section_u32(section::ROUTE_NBR, &route_nbr);
     w.section_u8(section::ROUTE_KIND, &route_kind);
     w.finish()
+}
+
+/// The reverse-index permutation: `0..addr.len()` ordered by
+/// `(addr[i], i)`.
+///
+/// A stable LSD radix sort of the identity permutation, low 16 address
+/// bits then high 16: each pass is stable, so equal addresses keep
+/// ascending index order — exactly the `(addr, i)` order a comparison
+/// sort would give, in two linear passes instead of `n log n`
+/// comparisons.
+fn rev_index(addr: &[u32]) -> Vec<u32> {
+    const BUCKETS: usize = 1 << 16;
+    let n = addr.len();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "reverse index needs cell indices that fit in u32"
+    );
+    // Bucket start offsets for both digits from one counting pass.
+    let mut lo_start = vec![0usize; BUCKETS];
+    let mut hi_start = vec![0usize; BUCKETS];
+    for &a in addr {
+        lo_start[(a & 0xFFFF) as usize] += 1;
+        hi_start[(a >> 16) as usize] += 1;
+    }
+    for counts in [&mut lo_start, &mut hi_start] {
+        let mut sum = 0;
+        for c in counts.iter_mut() {
+            let k = *c;
+            *c = sum;
+            sum += k;
+        }
+    }
+    // Pass 1 scatters the identity permutation by the low digit; pass 2
+    // re-scatters that order by the high digit.
+    let mut by_lo = vec![0u32; n];
+    for (i, &a) in addr.iter().enumerate() {
+        let slot = &mut lo_start[(a & 0xFFFF) as usize];
+        by_lo[*slot] = i as u32;
+        *slot += 1;
+    }
+    let mut out = vec![0u32; n];
+    for &i in &by_lo {
+        let slot = &mut hi_start[(addr[i as usize] >> 16) as usize];
+        out[*slot] = i;
+        *slot += 1;
+    }
+    out
 }
 
 /// Serialize the map and write it to `path`, returning the byte length.
@@ -184,6 +240,7 @@ mod tests {
     use crate::map::MapConfig;
     use itm_measure::SubstrateConfig;
     use itm_types::snap;
+    use proptest::prelude::*;
 
     #[test]
     fn snapshot_parses_and_counts_match_the_map() {
@@ -212,6 +269,49 @@ mod tests {
         };
         let recorded = TrafficMap::build(&s, &cfg).unwrap();
         assert_eq!(snapshot_bytes(&s, &plain), snapshot_bytes(&s, &recorded));
+    }
+
+    /// The comparison sort the radix reverse index replaces.
+    fn rev_by_sort(addr: &[u32]) -> Vec<u32> {
+        let mut rev: Vec<u32> = (0..addr.len() as u32).collect();
+        rev.sort_by_key(|&i| (addr[i as usize], i));
+        rev
+    }
+
+    /// Addresses biased toward the radix sort's edge cases: the extremes,
+    /// heavy duplicates, and keys equal in one 16-bit digit.
+    fn edgy_addr() -> impl Strategy<Value = u32> {
+        (0u8..6, any::<u32>()).prop_map(|(kind, x)| match kind {
+            0 => 0,
+            1 => u32::MAX,
+            2 => x % 4,
+            3 => x | 0xFFFF,
+            4 => x & 0xFFFF_0000,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn radix_rev_index_equals_the_comparison_sort(
+            addr in proptest::collection::vec(edgy_addr(), 0..600),
+        ) {
+            prop_assert_eq!(rev_index(&addr), rev_by_sort(&addr));
+        }
+    }
+
+    #[test]
+    fn radix_rev_index_edge_inputs() {
+        for addr in [
+            vec![],
+            vec![u32::MAX],
+            vec![0, u32::MAX, 0, u32::MAX],
+            vec![7; 100],
+            vec![0x0001_0000, 0x0000_FFFF, 0x0001_0000, 0],
+        ] {
+            assert_eq!(rev_index(&addr), rev_by_sort(&addr), "{addr:?}");
+        }
     }
 
     #[test]

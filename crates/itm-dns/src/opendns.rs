@@ -33,6 +33,7 @@ use itm_types::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Mean bits transferred per user session-with-DNS-lookup; converts demand
 /// (bps) into DNS query rate (qps).
@@ -92,8 +93,9 @@ pub struct OpenResolver<'a> {
     pops: Vec<Pop>,
     /// PoP serving each prefix (nearest by geography).
     pop_of_prefix: Vec<PopId>,
-    /// Per-(pop, service) aggregate daily-mean qps for PoP-wide scopes.
-    pop_service_qps: Vec<f64>,
+    /// Per-(pop, service) aggregate daily-mean qps for PoP-wide scopes,
+    /// built on first use (see [`OpenResolver::pop_service_qps`]).
+    pop_service_qps: OnceLock<Vec<f64>>,
     /// Occupancy draw seed.
     draw_seed: u64,
 }
@@ -139,42 +141,23 @@ impl<'a> OpenResolver<'a> {
             })
             .collect();
 
-        // Nearest-PoP assignment per prefix.
+        // Nearest-PoP assignment per prefix: smallest distance, ties to
+        // the lower PoP id (pops are in id order, so the first wins).
         let mut pop_of_prefix = Vec::with_capacity(topo.prefixes.len());
         for r in topo.prefixes.iter() {
+            let (first, rest) = pops.split_first().ok_or_else(|| ItmError::InvalidConfig {
+                field: "world.cities",
+                reason: "open resolver needs at least one city to site PoPs".into(),
+            })?;
             let loc = topo.city_location(r.city);
-            let best = pops
-                .iter()
-                .min_by(|a, b| {
-                    a.location
-                        .distance_km(loc)
-                        .total_cmp(&b.location.distance_km(loc))
-                        .then(a.id.cmp(&b.id))
-                })
-                .ok_or_else(|| ItmError::InvalidConfig {
-                    field: "world.cities",
-                    reason: "open resolver needs at least one city to site PoPs".into(),
-                })?;
-            pop_of_prefix.push(best.id);
-        }
-
-        // Aggregate PoP-wide rates per service (for non-ECS scopes).
-        let n_s = catalog.len();
-        let mut pop_service_qps = vec![0.0; pops.len() * n_s];
-        for r in topo.prefixes.iter() {
-            if users.users_of(r.id) <= 0.0 {
-                continue;
+            let mut best = (first.location.distance_km(loc), first.id);
+            for p in rest {
+                let d = p.location.distance_km(loc);
+                if d.total_cmp(&best.0).is_lt() {
+                    best = (d, p.id);
+                }
             }
-            let share = resolvers.open_share(r.id);
-            if share <= 0.0 {
-                continue;
-            }
-            let pop = pop_of_prefix[r.id.index()].index();
-            for s in &catalog.services {
-                let qps = traffic.demand(topo, users, catalog, r.id, s.id).raw() * share
-                    / BITS_PER_SESSION;
-                pop_service_qps[pop * n_s + s.id.index()] += qps;
-            }
+            pop_of_prefix.push(best.1);
         }
 
         Ok(OpenResolver {
@@ -187,7 +170,7 @@ impl<'a> OpenResolver<'a> {
             cfg,
             pops,
             pop_of_prefix,
-            pop_service_qps,
+            pop_service_qps: OnceLock::new(),
             draw_seed: seeds.seed("occupancy"),
         })
     }
@@ -238,6 +221,46 @@ impl<'a> OpenResolver<'a> {
         organic + self.cfg.noise_qps
     }
 
+    /// Aggregate daily-mean qps per `(pop, service)`, `pop`-major, for the
+    /// PoP-wide (non-ECS) scopes [`OpenResolver::hit_probability`] reads.
+    ///
+    /// Built on first use: only cache probing asks, and a deployment that
+    /// never probes (an epoch that re-runs only user mapping) skips the
+    /// `prefixes × services` demand sweep. ECS columns stay zero — their
+    /// rate is per prefix, never read from here. Each column sums its
+    /// prefixes in prefix-id order, so the f64 totals do not depend on
+    /// when, or from which thread, the table is built.
+    fn pop_service_qps(&self) -> &[f64] {
+        self.pop_service_qps.get_or_init(|| {
+            let n_s = self.catalog.len();
+            let mut qps = vec![0.0; self.pops.len() * n_s];
+            let pop_wide: Vec<ServiceId> = self
+                .catalog
+                .services
+                .iter()
+                .filter(|s| !s.ecs_support)
+                .map(|s| s.id)
+                .collect();
+            for r in self.topo.prefixes.iter() {
+                if self.users.users_of(r.id) <= 0.0 {
+                    continue;
+                }
+                let share = self.resolvers.open_share(r.id);
+                if share <= 0.0 {
+                    continue;
+                }
+                let pop = self.pop_of_prefix[r.id.index()].index();
+                for &s in &pop_wide {
+                    let demand = self
+                        .traffic
+                        .demand(self.topo, self.users, self.catalog, r.id, s);
+                    qps[pop * n_s + s.index()] += demand.raw() * share / BITS_PER_SESSION;
+                }
+            }
+            qps
+        })
+    }
+
     /// Probability that the cache entry for `(s, scope of p)` is occupied
     /// during the TTL window containing `t`.
     pub fn hit_probability(&self, p: PrefixId, s: ServiceId, t: SimTime) -> f64 {
@@ -251,7 +274,7 @@ impl<'a> OpenResolver<'a> {
             // otherwise one physical cache entry would look different to
             // probes carrying different ECS prefixes.
             let pop = self.pop_of(p).index();
-            let base = self.pop_service_qps[pop * self.catalog.len() + s.index()];
+            let base = self.pop_service_qps()[pop * self.catalog.len() + s.index()];
             let offset = self.pops[pop].location.solar_offset_hours();
             base * self.traffic.diurnal_multiplier_at(offset, t) + self.cfg.noise_qps
         };
@@ -763,6 +786,82 @@ mod tests {
             }
         }
         assert!(checked > 0, "no hits at all — model too cold");
+    }
+
+    /// The PoP-wide rate table as `deploy` used to build it eagerly: every
+    /// service column, prefix-major.
+    fn eager_pop_table(f: &Fixture, r: &OpenResolver<'_>) -> Vec<f64> {
+        let n_s = f.catalog.len();
+        let mut table = vec![0.0; r.pops().len() * n_s];
+        for rec in f.topo.prefixes.iter() {
+            if f.users.users_of(rec.id) <= 0.0 {
+                continue;
+            }
+            let share = f.resolvers.open_share(rec.id);
+            if share <= 0.0 {
+                continue;
+            }
+            let pop = r.pop_of(rec.id).index();
+            for svc in &f.catalog.services {
+                let qps = f
+                    .traffic
+                    .demand(&f.topo, &f.users, &f.catalog, rec.id, svc.id)
+                    .raw()
+                    * share
+                    / BITS_PER_SESSION;
+                table[pop * n_s + svc.id.index()] += qps;
+            }
+        }
+        table
+    }
+
+    /// Non-ECS `hit_probability` recomputed from an eager table, for one
+    /// probing prefix per PoP.
+    fn assert_lazy_table_matches_eager(f: &Fixture) -> Vec<f64> {
+        let r = resolver(f);
+        let table = eager_pop_table(f, &r);
+        let n_s = f.catalog.len();
+        let mut checked = 0;
+        for pop in r.pops() {
+            let Some(rec) = f
+                .topo
+                .prefixes
+                .iter()
+                .find(|rec| r.pop_of(rec.id) == pop.id)
+            else {
+                continue;
+            };
+            for svc in f.catalog.services.iter().filter(|s| !s.ecs_support) {
+                for t in [SimTime(0), SimTime(7 * 3600), SimTime(19 * 3600 + 17)] {
+                    let base = table[pop.id.index() * n_s + svc.id.index()];
+                    let offset = pop.location.solar_offset_hours();
+                    let rate = base * f.traffic.diurnal_multiplier_at(offset, t) + r.cfg.noise_qps;
+                    let want = 1.0 - (-rate * svc.ttl_secs as f64).exp();
+                    let got = r.hit_probability(rec.id, svc.id, t);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "pop {pop:?} svc {:?}",
+                        svc.id
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0, "no non-ECS service to check");
+        table
+    }
+
+    #[test]
+    fn lazy_pop_table_matches_an_eager_build_across_adoption_churn() {
+        let mut f = fixture();
+        let before = assert_lazy_table_matches_eager(&f);
+        let churned: std::collections::BTreeSet<itm_types::Asn> =
+            f.topo.ases.iter().map(|a| a.asn).collect();
+        let dom = SeedDomain::new(43).child("epoch").child("churn-1");
+        f.resolvers.churn_adoption(&f.topo, &churned, 1.5, &dom);
+        let after = assert_lazy_table_matches_eager(&f);
+        assert_ne!(before, after, "churn left the PoP rates unchanged");
     }
 
     #[test]

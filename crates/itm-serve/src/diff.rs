@@ -167,63 +167,56 @@ impl MapDiff {
     }
 
     /// Merge-walk one service's sorted prefix runs in both snapshots.
+    ///
+    /// The walk reads the prefix, address and claim-bit columns by index.
+    /// A run whose three column slices are byte-equal in A and B has no
+    /// delta and is skipped without a walk — after a light epoch, that is
+    /// almost every service.
     fn diff_service(&mut self, a: &Snapshot, b: &Snapshot, svc: ServiceId) {
-        let removed = |p: PrefixId, addr: Ipv4Addr| CellDelta {
+        let (run_a, run_b) = (a.cell_run(svc), b.cell_run(svc));
+        if a.cell_columns(run_a.clone()) == b.cell_columns(run_b.clone()) {
+            return;
+        }
+        let delta = |prefix, old: Option<(Ipv4Addr, u8)>, new: Option<(Ipv4Addr, u8)>| CellDelta {
             service: svc,
-            prefix: p,
-            old_addr: Some(addr),
-            new_addr: None,
-            old_bits: a.point(svc, p).map_or(0, |ans| ans.claim_bits),
-            new_bits: 0,
+            prefix,
+            old_addr: old.map(|(addr, _)| addr),
+            new_addr: new.map(|(addr, _)| addr),
+            old_bits: old.map_or(0, |(_, bits)| bits),
+            new_bits: new.map_or(0, |(_, bits)| bits),
         };
-        let added = |q: PrefixId, addr: Ipv4Addr| CellDelta {
-            service: svc,
-            prefix: q,
-            old_addr: None,
-            new_addr: Some(addr),
-            old_bits: 0,
-            new_bits: b.point(svc, q).map_or(0, |ans| ans.claim_bits),
-        };
-        let mut ia = a.cells_of(svc).peekable();
-        let mut ib = b.cells_of(svc).peekable();
+        let (mut i, mut j) = (run_a.start, run_b.start);
         loop {
-            let delta = match (ia.peek().copied(), ib.peek().copied()) {
+            let next_a = (i < run_a.end).then(|| a.cell_entry(i));
+            let next_b = (j < run_b.end).then(|| b.cell_entry(j));
+            let d = match (next_a, next_b) {
                 (None, None) => break,
-                (Some((p, addr)), None) => {
-                    ia.next();
-                    removed(p, addr)
+                (Some((p, addr, bits)), None) => {
+                    i += 1;
+                    delta(p, Some((addr, bits)), None)
                 }
-                (None, Some((q, addr))) => {
-                    ib.next();
-                    added(q, addr)
+                (None, Some((q, addr, bits))) => {
+                    j += 1;
+                    delta(q, None, Some((addr, bits)))
                 }
-                (Some((p, old)), Some((q, new))) => {
+                (Some((p, old, old_bits)), Some((q, new, new_bits))) => {
                     if p < q {
-                        ia.next();
-                        removed(p, old)
+                        i += 1;
+                        delta(p, Some((old, old_bits)), None)
                     } else if q < p {
-                        ib.next();
-                        added(q, new)
+                        j += 1;
+                        delta(q, None, Some((new, new_bits)))
                     } else {
-                        ia.next();
-                        ib.next();
-                        let old_bits = a.point(svc, p).map_or(0, |ans| ans.claim_bits);
-                        let new_bits = b.point(svc, p).map_or(0, |ans| ans.claim_bits);
+                        i += 1;
+                        j += 1;
                         if old == new && old_bits == new_bits {
                             continue;
                         }
-                        CellDelta {
-                            service: svc,
-                            prefix: p,
-                            old_addr: Some(old),
-                            new_addr: Some(new),
-                            old_bits,
-                            new_bits,
-                        }
+                        delta(p, Some((old, old_bits)), Some((new, new_bits)))
                     }
                 }
             };
-            self.cells.push(delta);
+            self.cells.push(d);
         }
     }
 
@@ -294,14 +287,10 @@ impl MapDiff {
     /// (verification helper: the round-trip test asserts it equals B's
     /// decoded cells exactly).
     pub fn apply_cells(&self, a: &Snapshot) -> Vec<(ServiceId, PrefixId, Ipv4Addr, u8)> {
-        let mut grid: BTreeMap<(u32, u32), (Ipv4Addr, u8)> = BTreeMap::new();
-        for sid in 0..a.n_services() {
-            let svc = ServiceId(sid as u32);
-            for (p, addr) in a.cells_of(svc) {
-                let bits = a.point(svc, p).map_or(0, |ans| ans.claim_bits);
-                grid.insert((svc.raw(), p.raw()), (addr, bits));
-            }
-        }
+        let mut grid: BTreeMap<(u32, u32), (Ipv4Addr, u8)> = decode_cells(a)
+            .into_iter()
+            .map(|(svc, p, addr, bits)| ((svc.raw(), p.raw()), (addr, bits)))
+            .collect();
         for d in &self.cells {
             let key = (d.service.raw(), d.prefix.raw());
             match d.new_addr {
@@ -351,8 +340,8 @@ pub fn decode_cells(s: &Snapshot) -> Vec<(ServiceId, PrefixId, Ipv4Addr, u8)> {
     let mut out = Vec::with_capacity(s.n_cells());
     for sid in 0..s.n_services() {
         let svc = ServiceId(sid as u32);
-        for (p, addr) in s.cells_of(svc) {
-            let bits = s.point(svc, p).map_or(0, |ans| ans.claim_bits);
+        for i in s.cell_run(svc) {
+            let (p, addr, bits) = s.cell_entry(i);
             out.push((svc, p, addr, bits));
         }
     }
@@ -522,6 +511,164 @@ mod tests {
         let rev = MapDiff::compute(&b, &a).expect("compatible");
         assert_eq!(rev.apply_cells(&b), decode_cells(&a));
         assert_eq!(rev.apply_routes(&b), decode_routes(&a));
+    }
+
+    /// A snapshot over snap_a's universe (2 services, 3 prefixes, the
+    /// 3-AS triangle) with the given per-service cell runs of
+    /// `(prefix, addr, claim bits)`, prefixes ascending within a run.
+    fn snap_with(runs: [&[(u32, u32, u8)]; 2]) -> Snapshot {
+        let cells: Vec<(u32, u32, u8)> = runs.iter().flat_map(|r| r.iter().copied()).collect();
+        let prefix: Vec<u32> = cells.iter().map(|c| c.0).collect();
+        let addr: Vec<u32> = cells.iter().map(|c| c.1).collect();
+        let bits: Vec<u8> = cells.iter().map(|c| c.2).collect();
+        let mut rev: Vec<u32> = (0..cells.len() as u32).collect();
+        rev.sort_by_key(|&i| (addr[i as usize], i));
+        let mut fronts = addr.clone();
+        fronts.sort_unstable();
+        fronts.dedup();
+        let n = cells.len() as u64;
+        let mut w = SnapWriter::new();
+        w.section_u64(section::META, &[42, 3, 3, 2, n, 4, fronts.len() as u64]);
+        w.section_u32(section::DOM_OFF, &[0, 10, 20]);
+        w.section_u8(section::DOM_BYTES, b"a.example\0b.example\0");
+        w.section_u32(section::DOM_SORTED, &[0, 1]);
+        w.section_u32(section::PFX_BASE, &[0x0A000100, 0x0A000000, 0x0A000200]);
+        w.section_u32(section::PFX_OWNER, &[1, 0, 2]);
+        w.section_u32(section::PFX_SORTED, &[1, 0, 2]);
+        w.section_u64(section::CELL_SVC_OFF, &[0, runs[0].len() as u64, n]);
+        w.section_u32(section::CELL_PREFIX, &prefix);
+        w.section_u32(section::CELL_ADDR, &addr);
+        w.section_u8(section::CELL_BITS, &bits);
+        w.section_u32(section::CELL_REV, &rev);
+        w.section_u32(section::FRONT_ADDR, &fronts);
+        w.section_u32(section::FRONT_OWNER, &vec![u32::MAX; fronts.len()]);
+        w.section_u64(section::ROUTE_OFF, &[0, 1, 3, 4]);
+        w.section_u32(section::ROUTE_NBR, &[1, 0, 2, 1]);
+        w.section_u8(
+            section::ROUTE_KIND,
+            &[rel::PROVIDER, rel::CUSTOMER, rel::PEER, rel::PEER],
+        );
+        Snapshot::from_bytes(w.finish()).expect("well-formed")
+    }
+
+    /// The cell walk as it was written before the index walk: the public
+    /// iterator for prefixes and addresses, a `point()` lookup per cell
+    /// for claim bits, every service walked. Kept as the reference the
+    /// index walk and its run skip must agree with.
+    fn reference_cells(a: &Snapshot, b: &Snapshot) -> Vec<CellDelta> {
+        let mut out = Vec::new();
+        for sid in 0..a.n_services() {
+            let svc = ServiceId(sid as u32);
+            let bits = |s: &Snapshot, p| s.point(svc, p).map_or(0, |ans| ans.claim_bits);
+            let cell = |p, old: Option<Ipv4Addr>, new: Option<Ipv4Addr>| CellDelta {
+                service: svc,
+                prefix: p,
+                old_addr: old,
+                new_addr: new,
+                old_bits: old.map_or(0, |_| bits(a, p)),
+                new_bits: new.map_or(0, |_| bits(b, p)),
+            };
+            let mut ia = a.cells_of(svc).peekable();
+            let mut ib = b.cells_of(svc).peekable();
+            loop {
+                let d = match (ia.peek().copied(), ib.peek().copied()) {
+                    (None, None) => break,
+                    (Some((p, old)), None) => {
+                        ia.next();
+                        cell(p, Some(old), None)
+                    }
+                    (None, Some((q, new))) => {
+                        ib.next();
+                        cell(q, None, Some(new))
+                    }
+                    (Some((p, old)), Some((q, new))) => {
+                        if p < q {
+                            ia.next();
+                            cell(p, Some(old), None)
+                        } else if q < p {
+                            ib.next();
+                            cell(q, None, Some(new))
+                        } else {
+                            ia.next();
+                            ib.next();
+                            if old == new && bits(a, p) == bits(b, p) {
+                                continue;
+                            }
+                            cell(p, Some(old), Some(new))
+                        }
+                    }
+                };
+                out.push(d);
+            }
+        }
+        out
+    }
+
+    /// Diff both ways, check each against the reference walk, and return
+    /// the forward delta kinds as `(service, prefix, kind)`.
+    fn diff_kinds(a: &Snapshot, b: &Snapshot) -> Vec<(u32, u32, &'static str)> {
+        let fwd = MapDiff::compute(a, b).expect("compatible");
+        assert_eq!(fwd.cells, reference_cells(a, b));
+        assert_eq!(fwd.apply_cells(a), decode_cells(b));
+        let back = MapDiff::compute(b, a).expect("compatible");
+        assert_eq!(back.cells, reference_cells(b, a));
+        assert_eq!(back.apply_cells(b), decode_cells(a));
+        fwd.cells
+            .iter()
+            .map(|c| (c.service.raw(), c.prefix.raw(), c.kind()))
+            .collect()
+    }
+
+    const X: u32 = 0x0A000001;
+    const Y: u32 = 0x0A000201;
+
+    #[test]
+    fn a_run_differing_only_in_claim_bits_is_re_evidenced() {
+        let svc1: &[(u32, u32, u8)] = &[(0, Y, claim::ECS)];
+        let a = snap_with([&[(0, X, claim::ECS), (1, X, claim::ECS)], svc1]);
+        let b = snap_with([
+            &[(0, X, claim::ECS), (1, X, claim::ECS | claim::ANYCAST)],
+            svc1,
+        ]);
+        assert_eq!(diff_kinds(&a, &b), vec![(0, 1, "re-evidenced")]);
+        let d = MapDiff::compute(&a, &b).expect("compatible");
+        assert_eq!(d.cells[0].old_bits, claim::ECS);
+        assert_eq!(d.cells[0].new_bits, claim::ECS | claim::ANYCAST);
+    }
+
+    #[test]
+    fn a_run_whose_length_changes_shifts_the_next_run_without_deltas() {
+        // Service 0 grows by one cell, so service 1's identical run starts
+        // one index later in B: it must still diff as unchanged.
+        let svc1: &[(u32, u32, u8)] = &[(0, Y, claim::ECS), (2, X, claim::CATALOG_PRIOR)];
+        let a = snap_with([&[(1, X, claim::ECS)], svc1]);
+        let b = snap_with([&[(0, Y, claim::ECS), (1, X, claim::ECS), (2, Y, 0)], svc1]);
+        assert_eq!(diff_kinds(&a, &b), vec![(0, 0, "added"), (0, 2, "added")]);
+    }
+
+    #[test]
+    fn an_empty_run_on_either_side_adds_or_removes_every_cell() {
+        let full: &[(u32, u32, u8)] = &[(0, X, claim::ECS), (2, Y, claim::ANYCAST)];
+        let a = snap_with([full, &[]]);
+        let b = snap_with([&[], full]);
+        assert_eq!(
+            diff_kinds(&a, &b),
+            vec![
+                (0, 0, "removed"),
+                (0, 2, "removed"),
+                (1, 0, "added"),
+                (1, 2, "added"),
+            ]
+        );
+        let both_empty = snap_with([&[], &[]]);
+        assert!(diff_kinds(&both_empty, &both_empty).is_empty());
+        assert_eq!(diff_kinds(&both_empty, &a).len(), 2);
+    }
+
+    #[test]
+    fn the_index_walk_agrees_with_the_reference_on_the_fixture_pair() {
+        let (a, b) = (snap_a(), snap_b());
+        assert_eq!(diff_kinds(&a, &b).len(), 4);
     }
 
     #[test]

@@ -535,20 +535,46 @@ impl Snapshot {
     /// All ⟨prefix, replica⟩ cells of one service, in ascending prefix
     /// order.
     pub fn cells_of(&self, service: ServiceId) -> CellsIter<'_> {
-        let s = service.index();
-        let (lo, hi) = if s < self.n_services() {
-            (
-                self.u64_in(self.cell_svc_off, s) as usize,
-                self.u64_in(self.cell_svc_off, s + 1) as usize,
-            )
-        } else {
-            (0, 0)
-        };
+        let run = self.cell_run(service);
         CellsIter {
             snap: self,
-            i: lo,
-            hi,
+            i: run.start,
+            hi: run.end,
         }
+    }
+
+    /// The global cell-index range of one service's run (empty for an
+    /// unknown service).
+    pub(crate) fn cell_run(&self, service: ServiceId) -> std::ops::Range<usize> {
+        let s = service.index();
+        if s >= self.n_services() {
+            return 0..0;
+        }
+        self.u64_in(self.cell_svc_off, s) as usize..self.u64_in(self.cell_svc_off, s + 1) as usize
+    }
+
+    /// The raw prefix, address and claim-bit column bytes of a cell range
+    /// (validated in bounds at open for any range within `0..n_cells`).
+    pub(crate) fn cell_columns(&self, run: std::ops::Range<usize>) -> [&[u8]; 3] {
+        let col = |sec: Sec, width: usize| {
+            self.bytes
+                .get(sec.off + run.start * width..sec.off + run.end * width)
+                .unwrap_or(&[])
+        };
+        [
+            col(self.cell_prefix, 4),
+            col(self.cell_addr, 4),
+            col(self.cell_bits, 1),
+        ]
+    }
+
+    /// The ⟨prefix, replica, claim bits⟩ of global cell index `i`.
+    pub(crate) fn cell_entry(&self, i: usize) -> (PrefixId, Ipv4Addr, u8) {
+        (
+            PrefixId(self.u32_in(self.cell_prefix, i)),
+            Ipv4Addr(self.u32_in(self.cell_addr, i)),
+            self.u8_in(self.cell_bits, i),
+        )
     }
 
     /// Reverse lookup: every ⟨service, prefix⟩ cell served by front-end

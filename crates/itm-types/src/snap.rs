@@ -304,14 +304,19 @@ pub fn read_u64(bytes: &[u8], off: usize) -> Option<u64> {
     ]))
 }
 
-/// Assembles a snapshot: collect typed sections, then [`SnapWriter::finish`]
-/// lays out header + directory + 8-byte-aligned payloads and stamps the
-/// checksum. Writing sections in a fixed order makes the output a pure
-/// function of the section contents — byte-identical across runs, thread
-/// counts, and machines.
+/// Assembles a snapshot: typed sections are appended, in call order, to
+/// one payload buffer (each zero-padded to 8 bytes), and
+/// [`SnapWriter::finish`] splices the header and directory in front and
+/// stamps the checksum. The writer therefore holds one copy of the data,
+/// not a copy per section plus the file. Writing sections in a fixed
+/// order makes the output a pure function of the section contents —
+/// byte-identical across runs, thread counts, and machines.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
-    sections: Vec<(u32, u64, Vec<u8>)>,
+    /// Section payloads back to back, each padded to 8 bytes.
+    payload: Vec<u8>,
+    /// `(id, count, payload offset, byte length)` per section.
+    dir: Vec<(u32, u64, usize, usize)>,
 }
 
 impl SnapWriter {
@@ -320,57 +325,66 @@ impl SnapWriter {
         Self::default()
     }
 
+    /// Append one section's payload via `write`, then pad to 8 bytes.
+    fn section(&mut self, id: u32, count: u64, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.payload.len();
+        write(&mut self.payload);
+        let len = self.payload.len() - start;
+        self.payload.resize((self.payload.len() + 7) & !7, 0);
+        self.dir.push((id, count, start, len));
+    }
+
     /// Add a raw byte section (`count` = byte length).
     pub fn section_u8(&mut self, id: u32, data: &[u8]) {
-        self.sections.push((id, data.len() as u64, data.to_vec()));
+        self.section(id, data.len() as u64, |out| out.extend_from_slice(data));
     }
 
     /// Add a `u32` column section (`count` = element count).
     pub fn section_u32(&mut self, id: u32, data: &[u32]) {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.sections.push((id, data.len() as u64, bytes));
+        self.section(id, data.len() as u64, |out| {
+            out.reserve(data.len() * 4);
+            for v in data {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        });
     }
 
     /// Add a `u64` column section (`count` = element count).
     pub fn section_u64(&mut self, id: u32, data: &[u64]) {
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.sections.push((id, data.len() as u64, bytes));
+        self.section(id, data.len() as u64, |out| {
+            out.reserve(data.len() * 8);
+            for v in data {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        });
     }
 
     /// Lay out the file and stamp `file_len` and the checksum.
     pub fn finish(self) -> Vec<u8> {
-        let n = self.sections.len();
+        let n = self.dir.len();
+        // Header and directory entries are 32 bytes each, so the first
+        // payload starts 8-byte aligned right after the directory.
         let dir_end = HEADER_SIZE + n * DIR_ENTRY_SIZE;
-        // Payload offsets, 8-byte aligned.
-        let mut offsets = Vec::with_capacity(n);
-        let mut cursor = (dir_end + 7) & !7;
-        for (_, _, bytes) in &self.sections {
-            offsets.push(cursor);
-            cursor = (cursor + bytes.len() + 7) & !7;
-        }
-        let file_len = cursor;
+        let file_len = dir_end + self.payload.len();
 
-        let mut out = vec![0u8; file_len];
-        out[..8].copy_from_slice(&MAGIC);
-        out[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        out[12..16].copy_from_slice(&(n as u32).to_le_bytes());
+        let mut head = vec![0u8; dir_end];
+        head[..8].copy_from_slice(&MAGIC);
+        head[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        head[12..16].copy_from_slice(&(n as u32).to_le_bytes());
         // bytes 16..24 (checksum) stay zero until the end.
-        out[24..32].copy_from_slice(&(file_len as u64).to_le_bytes());
-        for (k, (id, count, bytes)) in self.sections.iter().enumerate() {
+        head[24..32].copy_from_slice(&(file_len as u64).to_le_bytes());
+        for (k, &(id, count, start, len)) in self.dir.iter().enumerate() {
             let e = HEADER_SIZE + k * DIR_ENTRY_SIZE;
-            out[e..e + 4].copy_from_slice(&id.to_le_bytes());
+            head[e..e + 4].copy_from_slice(&id.to_le_bytes());
             // e+4..e+8: reserved, zero.
-            out[e + 8..e + 16].copy_from_slice(&(offsets[k] as u64).to_le_bytes());
-            out[e + 16..e + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
-            out[e + 24..e + 32].copy_from_slice(&count.to_le_bytes());
-            out[offsets[k]..offsets[k] + bytes.len()].copy_from_slice(bytes);
+            head[e + 8..e + 16].copy_from_slice(&((dir_end + start) as u64).to_le_bytes());
+            head[e + 16..e + 24].copy_from_slice(&(len as u64).to_le_bytes());
+            head[e + 24..e + 32].copy_from_slice(&count.to_le_bytes());
         }
+        let mut out = self.payload;
+        out.splice(0..0, head);
+        // Return exactly the file: growth slack would outlive the writer.
+        out.shrink_to_fit();
         let sum = checksum(&out);
         out[16..24].copy_from_slice(&sum.to_le_bytes());
         out
