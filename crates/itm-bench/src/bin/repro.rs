@@ -53,7 +53,9 @@
 //! the provenance (technique claim list) of every point answer included —
 //! and `--bench-query` builds the map once and appends a sustained
 //! point-lookup throughput row to the schema-versioned `BENCH_query.json`
-//! trajectory.
+//! trajectory. With `--metrics`, `--query` and `--diff` write
+//! `<out>/metrics.json` too: the `snapshot.open` span tree (read, checksum
+//! verify, content validate) of every snapshot they open.
 //!
 //! `--audit [out=FILE]` scores every measurement technique against the
 //! substrate's ground truth and writes a schema-versioned
@@ -237,7 +239,9 @@ fn usage() -> String {
          resolver_churn, link_flaps, vm_churn, rehome_services, \
          diurnal_shift_hours;\n\
          --diff writes every cell and route delta between two snapshots \
-         (with technique provenance) to <out>/map_diff.json;\n\
+         (with technique provenance) to <out>/map_diff.json; with \
+         --metrics, --query and --diff write the snapshot open spans to \
+         <out>/metrics.json;\n\
          --audit writes <out>/map_quality.json (override with out=FILE) and \
          needs a map-building experiment: map table1 fig1a fig1b fig2 \
          coverage ecs;\n\
@@ -842,7 +846,9 @@ fn snap_asn(snap: &itm_serve::Snapshot, raw: &str) -> Option<itm_types::Asn> {
 /// nothing, and 2 on unresolvable arguments or an unopenable (missing,
 /// corrupted, foreign-version) snapshot. Never builds a substrate — the
 /// whole point of the serving layer is that queries cost microseconds.
+/// With `--metrics`, an answered query also writes `<out>/metrics.json`.
 fn run_query(args: &Args, spec: &[String]) -> ! {
+    begin_metrics(args);
     let path = snapshot_path(args);
     let snap = match itm_serve::Snapshot::open(&path) {
         Ok(s) => s,
@@ -962,6 +968,9 @@ fn run_query(args: &Args, spec: &[String]) -> ! {
             }
         }
     };
+    if args.metrics {
+        write_metrics(&args.out_dir, None);
+    }
     std::process::exit(if found { 0 } else { 1 });
 }
 
@@ -1066,8 +1075,10 @@ fn opt_json<T: std::fmt::Display>(v: Option<T>) -> serde_json::Value {
 /// delta between them, write the deterministic `<out>/map_diff.json`,
 /// and print a kind-by-kind tally. Unopenable snapshots (missing,
 /// corrupted, foreign-version) and snapshots of different universes exit
-/// 2; any computed diff — including an empty one — exits 0.
+/// 2; any computed diff — including an empty one — exits 0. With
+/// `--metrics`, `<out>/metrics.json` records both opens.
 fn run_diff(args: &Args, path_a: &str, path_b: &str) -> ! {
+    begin_metrics(args);
     let open = |path: &str| match itm_serve::Snapshot::open(path) {
         Ok(s) => s,
         Err(e) => {
@@ -1139,6 +1150,9 @@ fn run_diff(args: &Args, path_a: &str, path_b: &str) -> ! {
             diff.routes.len()
         );
     }
+    if args.metrics {
+        write_metrics(&args.out_dir, None);
+    }
     std::process::exit(0);
 }
 
@@ -1159,6 +1173,16 @@ fn enable_metrics() {
     itm_obs::counter_with("probe.pings", &[("technique", "ipid_probe")]);
     itm_obs::counter_with("probe.connects", &[("technique", "tls_scan")]);
     itm_obs::counter_with("probe.connects", &[("technique", "sni_scan")]);
+}
+
+/// With `--metrics`, preflight `<out>/metrics.json` and start collecting;
+/// a no-op without it.
+fn begin_metrics(args: &Args) {
+    if args.metrics {
+        ensure_out_dir(&args.out_dir);
+        require_writable_file(&format!("{}/metrics.json", args.out_dir));
+        enable_metrics();
+    }
 }
 
 /// Write `<out_dir>/metrics.json`: counters, histograms, the span tree
@@ -1221,10 +1245,7 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
     if let Some(base) = &snap_base {
         require_writable_file(base);
     }
-    if args.metrics {
-        require_writable_file(&format!("{}/metrics.json", args.out_dir));
-        enable_metrics();
-    }
+    begin_metrics(args);
 
     let cfg = config_for(&args.size);
     let t0 = Instant::now();
@@ -1771,8 +1792,8 @@ fn main() {
     if args.bench_query {
         bench_query(&args);
     }
-    // Query mode is read-only: it neither builds a substrate nor touches
-    // the output dir, it just opens the snapshot and answers.
+    // Query mode is read-only: it never builds a substrate and touches
+    // the output dir only for --metrics; it opens the snapshot and answers.
     if let Some(spec) = &args.query {
         run_query(&args, spec);
     }

@@ -1001,3 +1001,81 @@ fn bench_baseline_gates_peak_memory_regressions() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("no baseline row for size=small"), "{err}");
 }
+
+/// One small snapshot shared by the snapshot-mode `--metrics` tests.
+fn metrics_snapshot() -> PathBuf {
+    static PATH: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = scratch().join("metrics-snap-out");
+        let out = repro(&[
+            "--exp",
+            "map",
+            "--size",
+            "small",
+            "--seed",
+            "37",
+            "--out",
+            dir.to_str().unwrap(),
+            "--snapshot",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        dir.join("map.snap")
+    })
+    .clone()
+}
+
+/// The `snapshot.open` span tree in `<dir>/metrics.json`: each stage
+/// must be present, entered `opens` times.
+fn assert_open_spans(dir: &std::path::Path, opens: u64) {
+    let text = std::fs::read_to_string(dir.join("metrics.json"))
+        .expect("--metrics writes <out>/metrics.json");
+    let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+    for path in [
+        "snapshot.open",
+        "snapshot.open/snapshot.read",
+        "snapshot.open/snapshot.verify",
+        "snapshot.open/snapshot.validate",
+    ] {
+        let count = v
+            .get("spans")
+            .and_then(|s| s.get(path))
+            .and_then(|s| s.get("count"))
+            .and_then(|c| c.as_u64());
+        assert_eq!(count, Some(opens), "span {path}: {text}");
+    }
+}
+
+#[test]
+fn query_honours_metrics() {
+    let snap = metrics_snapshot();
+    let dir = scratch().join("query-metrics-out");
+    let out = repro(&[
+        "--query",
+        "route",
+        "0",
+        "--snapshot",
+        snap.to_str().unwrap(),
+        "--metrics",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_open_spans(&dir, 1);
+}
+
+#[test]
+fn diff_honours_metrics() {
+    let snap = metrics_snapshot();
+    let dir = scratch().join("diff-metrics-out");
+    let out = repro(&[
+        "--diff",
+        snap.to_str().unwrap(),
+        snap.to_str().unwrap(),
+        "--metrics",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(dir.join("map_diff.json").exists());
+    assert_open_spans(&dir, 2);
+}

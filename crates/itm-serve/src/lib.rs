@@ -19,6 +19,10 @@
 //! Every query is offset arithmetic plus binary search over the loaded
 //! bytes: nothing is deserialized into owned structures, so open cost is
 //! one read + one validation pass and the resident set is the file itself.
+//! A point or route lookup is one binary search with no allocation. A
+//! reverse lookup costs its answer: two searches bound the address's run
+//! exactly, then a forward-only walk turns each of its k cells into
+//! ⟨service, prefix⟩ in O(k), with one allocation for the result.
 //! The sections are 8-byte aligned and little-endian precisely so this
 //! works equally well over a memory mapping; with the workspace offline
 //! (no mmap crate), [`Snapshot::open`] reads the file into a `Vec<u8>` and
@@ -27,8 +31,11 @@
 //! Validation happens once, at open: the whole-file checksum (any single
 //! corrupted byte is a hard error), presence and element sizes of all
 //! sections, monotonicity of every offset array, sortedness of every
-//! binary-searched column, and UTF-8 of the domain table. After that, the
-//! query methods never panic and never re-validate.
+//! binary-searched column (the reverse index strictly by ⟨address, cell⟩,
+//! which makes it a permutation), and UTF-8 of the domain table. After
+//! that, the query methods never panic and never re-validate. With
+//! `itm-obs` metrics on, [`Snapshot::open`] records its read, verify and
+//! validate stages as spans.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -128,10 +135,18 @@ const REQUIRED: [u32; 17] = [
 
 impl Snapshot {
     /// Read and validate a snapshot file.
+    ///
+    /// Recorded as a `snapshot.open` span with `snapshot.read`,
+    /// `snapshot.verify` (header, directory and checksum) and
+    /// `snapshot.validate` (section contents) children.
     pub fn open(path: &str) -> Result<Snapshot, SnapError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapError::Io {
-            detail: format!("{path}: {e}"),
-        })?;
+        let _span = itm_obs::span("snapshot.open");
+        let bytes = {
+            let _read = itm_obs::span("snapshot.read");
+            std::fs::read(path).map_err(|e| SnapError::Io {
+                detail: format!("{path}: {e}"),
+            })?
+        };
         Snapshot::from_bytes(bytes)
     }
 
@@ -144,7 +159,11 @@ impl Snapshot {
     /// binary-searched column is sorted; the domain table is NUL-delimited
     /// valid UTF-8; and every cross-section index is in range.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot, SnapError> {
-        let dir = snap::parse_dir(&bytes)?;
+        let dir = {
+            let _verify = itm_obs::span("snapshot.verify");
+            snap::parse_dir(&bytes)?
+        };
+        let _validate = itm_obs::span("snapshot.validate");
         let mut secs = [Sec { off: 0, count: 0 }; REQUIRED.len()];
         for (k, id) in REQUIRED.iter().enumerate() {
             let e = find(&dir, *id).ok_or(SnapError::MissingSection { id: *id })?;
@@ -293,19 +312,23 @@ impl Snapshot {
             }
         }
 
-        // Reverse index: in range, ordered by the serving address it
-        // dereferences to (the reverse-lookup invariant).
-        let mut prev_addr = 0u32;
+        // Reverse index: in range and strictly ascending by ⟨serving
+        // address, cell index⟩ (the reverse-lookup invariant). Strictness
+        // makes the n_cells entries distinct, so the index is a
+        // permutation of the cells, and each address run lists its cells
+        // in ascending index order, which the forward service cursor of
+        // `reverse` relies on.
+        let mut prev = (0u32, 0usize);
         for k in 0..self.cell_rev.count {
             let i = self.u32_in(self.cell_rev, k) as usize;
             if i >= self.n_cells() {
                 return malformed("cell reverse index out of range");
             }
-            let addr = self.u32_in(self.cell_addr, i);
-            if k > 0 && addr < prev_addr {
-                return malformed("cell reverse index not sorted by address");
+            let key = (self.u32_in(self.cell_addr, i), i);
+            if k > 0 && key <= prev {
+                return malformed("cell reverse index not strictly ordered by (address, cell)");
             }
-            prev_addr = addr;
+            prev = key;
         }
 
         // Front-end table: strictly ascending addresses.
@@ -568,6 +591,12 @@ impl Snapshot {
         ]
     }
 
+    /// One past the last global cell index of service `s`'s run.
+    #[inline]
+    fn run_end(&self, s: usize) -> usize {
+        self.u64_in(self.cell_svc_off, s + 1) as usize
+    }
+
     /// The ⟨prefix, replica, claim bits⟩ of global cell index `i`.
     pub(crate) fn cell_entry(&self, i: usize) -> (PrefixId, Ipv4Addr, u8) {
         (
@@ -578,11 +607,35 @@ impl Snapshot {
     }
 
     /// Reverse lookup: every ⟨service, prefix⟩ cell served by front-end
-    /// address `addr`.
+    /// address `addr`, in ascending ⟨service, prefix⟩ order.
     ///
-    /// Binary search over the reverse index for the address run, then one
-    /// offset-partition search per hit to recover the service id.
+    /// Two binary searches bound the address's run in the reverse index
+    /// exactly; the run lists its cells in ascending index order (checked
+    /// at open), so a forward-only [`ServiceCursor`] recovers each hit's
+    /// service. Cost: two searches plus O(k) for k returned cells, with
+    /// a short galloping search only where the walk enters a later
+    /// service, and one allocation.
     pub fn reverse(&self, addr: Ipv4Addr) -> Vec<(ServiceId, PrefixId)> {
+        let key = |k: usize| self.u32_in(self.cell_addr, self.u32_in(self.cell_rev, k) as usize);
+        let n = self.n_cells();
+        let lo = self.lower_bound(0, n, addr.0, key);
+        let hi = match addr.0.checked_add(1) {
+            Some(next) => self.lower_bound(lo, n, next, key),
+            None => n,
+        };
+        let mut services = ServiceCursor::new(self);
+        let mut out = Vec::with_capacity(hi - lo);
+        for k in lo..hi {
+            let i = self.u32_in(self.cell_rev, k) as usize;
+            out.push((services.seek(i), PrefixId(self.u32_in(self.cell_prefix, i))));
+        }
+        out
+    }
+
+    /// The per-hit reference [`Snapshot::reverse`] replaced: a re-check of
+    /// every hit's address and one partition search per hit.
+    #[cfg(test)]
+    fn reverse_reference(&self, addr: Ipv4Addr) -> Vec<(ServiceId, PrefixId)> {
         let key = |k: usize| self.u32_in(self.cell_addr, self.u32_in(self.cell_rev, k) as usize);
         let n = self.n_cells();
         let lo = self.lower_bound(0, n, addr.0, key);
@@ -681,6 +734,57 @@ impl Snapshot {
     }
 }
 
+/// A forward-only walk over the service partition of the cell index
+/// space: [`ServiceCursor::seek`] maps ascending cell indices to their
+/// owning services without a fresh search per cell.
+struct ServiceCursor<'a> {
+    snap: &'a Snapshot,
+    /// The service the cursor sits on.
+    service: usize,
+    /// One past the last cell of `service`.
+    end: usize,
+}
+
+impl<'a> ServiceCursor<'a> {
+    fn new(snap: &'a Snapshot) -> ServiceCursor<'a> {
+        ServiceCursor {
+            snap,
+            service: 0,
+            end: snap.run_end(0),
+        }
+    }
+
+    /// The service owning cell `i`. Successive calls must pass
+    /// nondecreasing `i < n_cells`. When `i` is past the current run the
+    /// cursor gallops forward, skipping services with empty runs, then
+    /// binary-searches the bracket it found.
+    fn seek(&mut self, i: usize) -> ServiceId {
+        if i >= self.end {
+            let n = self.snap.n_services();
+            // Find the first service t > self.service whose run ends past
+            // i; every service below `lo` ends at or before i.
+            let mut lo = self.service + 1;
+            let mut step = 1;
+            while lo + step <= n && self.snap.run_end(lo + step - 1) <= i {
+                lo += step;
+                step *= 2;
+            }
+            let mut hi = (lo + step - 1).min(n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.snap.run_end(mid) <= i {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            self.service = lo;
+            self.end = self.snap.run_end(lo);
+        }
+        ServiceId(self.service as u32)
+    }
+}
+
 /// Iterator over one service's mapping cells (see [`Snapshot::cells_of`]).
 #[derive(Debug)]
 pub struct CellsIter<'a> {
@@ -752,6 +856,11 @@ mod tests {
     /// 2 services ("a.example", "b.example"), 3 prefixes, 4 cells,
     /// 2 front-ends, 3 ASes with a triangle of relationships.
     fn tiny() -> Vec<u8> {
+        tiny_with_rev(&[0, 2, 1, 3])
+    }
+
+    /// [`tiny`] with the given reverse index, checksum re-stamped.
+    fn tiny_with_rev(rev: &[u32]) -> Vec<u8> {
         let mut w = SnapWriter::new();
         // seed, n_ases, n_prefixes, n_services, n_cells, n_route, n_fronts
         w.section_u64(section::META, &[42, 3, 3, 2, 4, 4, 2]);
@@ -781,7 +890,7 @@ mod tests {
                 0,
             ],
         );
-        w.section_u32(section::CELL_REV, &[0, 2, 1, 3]);
+        w.section_u32(section::CELL_REV, rev);
         w.section_u32(section::FRONT_ADDR, &[0x0A000001, 0x0A000201]);
         w.section_u32(section::FRONT_OWNER, &[1, u32::MAX]);
         // AS0 ↔ AS1 (0's provider is 1), AS1 ↔ AS2 peers.
@@ -918,5 +1027,177 @@ mod tests {
         let mut bad = good.clone();
         bad[good.len() / 2] ^= 0xFF;
         assert!(Snapshot::from_bytes(bad).is_err());
+    }
+
+    #[test]
+    fn duplicated_reverse_entry_is_rejected() {
+        // Both cells of front 0x0A000001 point at cell 0: the addresses
+        // stay sorted, but cell 2 is lost and cell 0 would answer twice.
+        assert!(matches!(
+            Snapshot::from_bytes(tiny_with_rev(&[0, 0, 1, 3])),
+            Err(SnapError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn descending_cells_within_an_address_run_are_rejected() {
+        assert!(matches!(
+            Snapshot::from_bytes(tiny_with_rev(&[2, 0, 1, 3])),
+            Err(SnapError::Malformed { .. })
+        ));
+    }
+
+    /// A consistent snapshot with one AS and no routes whose cells are
+    /// `runs`: one slice of ⟨prefix, address⟩ per service, prefixes
+    /// ascending. The reverse index is derived the way the writer does:
+    /// cells ordered by ⟨address, index⟩.
+    fn cells_snapshot(runs: &[Vec<(u32, u32)>]) -> Vec<u8> {
+        let names: Vec<String> = (0..runs.len()).map(|k| format!("s{k}.example")).collect();
+        let mut dom_off = vec![0u32];
+        let mut dom_bytes = Vec::new();
+        for name in &names {
+            dom_bytes.extend_from_slice(name.as_bytes());
+            dom_bytes.push(0);
+            dom_off.push(dom_bytes.len() as u32);
+        }
+        let mut dom_sorted: Vec<u32> = (0..runs.len() as u32).collect();
+        dom_sorted.sort_by(|a, b| names[*a as usize].cmp(&names[*b as usize]));
+        let cells: Vec<(u32, u32)> = runs.iter().flatten().copied().collect();
+        let n_prefixes = cells.iter().map(|c| c.0 + 1).max().unwrap_or(0);
+        let mut svc_off = vec![0u64];
+        for run in runs {
+            svc_off.push(svc_off.last().unwrap() + run.len() as u64);
+        }
+        let addrs: Vec<u32> = cells.iter().map(|c| c.1).collect();
+        let mut rev: Vec<u32> = (0..cells.len() as u32).collect();
+        rev.sort_by_key(|&i| (addrs[i as usize], i));
+        let mut fronts = addrs.clone();
+        fronts.sort_unstable();
+        fronts.dedup();
+
+        let mut w = SnapWriter::new();
+        w.section_u64(
+            section::META,
+            &[
+                1,
+                1,
+                n_prefixes as u64,
+                runs.len() as u64,
+                cells.len() as u64,
+                0,
+                fronts.len() as u64,
+            ],
+        );
+        w.section_u32(section::DOM_OFF, &dom_off);
+        w.section_u8(section::DOM_BYTES, &dom_bytes);
+        w.section_u32(section::DOM_SORTED, &dom_sorted);
+        let bases: Vec<u32> = (0..n_prefixes).map(|p| 0x0A00_0000 + (p << 8)).collect();
+        w.section_u32(section::PFX_BASE, &bases);
+        w.section_u32(section::PFX_OWNER, &vec![0; n_prefixes as usize]);
+        w.section_u32(section::PFX_SORTED, &(0..n_prefixes).collect::<Vec<_>>());
+        w.section_u64(section::CELL_SVC_OFF, &svc_off);
+        w.section_u32(
+            section::CELL_PREFIX,
+            &cells.iter().map(|c| c.0).collect::<Vec<_>>(),
+        );
+        w.section_u32(section::CELL_ADDR, &addrs);
+        w.section_u8(section::CELL_BITS, &vec![claim::ECS; cells.len()]);
+        w.section_u32(section::CELL_REV, &rev);
+        w.section_u32(section::FRONT_ADDR, &fronts);
+        w.section_u32(section::FRONT_OWNER, &vec![0; fronts.len()]);
+        w.section_u64(section::ROUTE_OFF, &[0, 0]);
+        w.section_u32(section::ROUTE_NBR, &[]);
+        w.section_u8(section::ROUTE_KIND, &[]);
+        w.finish()
+    }
+
+    /// Every distinct cell address, its neighbours, and the ends of the
+    /// address space.
+    fn probe_addrs(s: &Snapshot) -> Vec<u32> {
+        let mut probes = vec![0, 1, u32::MAX - 1, u32::MAX];
+        for i in 0..s.n_cells() {
+            let a = s.u32_in(s.cell_addr, i);
+            probes.extend([a, a.wrapping_sub(1), a.wrapping_add(1)]);
+        }
+        probes.sort_unstable();
+        probes.dedup();
+        probes
+    }
+
+    #[test]
+    fn reverse_matches_the_reference_across_service_boundaries() {
+        const A: u32 = 0x0A00_0001;
+        const B: u32 = 0x0A00_0102;
+        // A spans the first and the last service, with empty services
+        // between; u32::MAX takes the unbounded end of the run.
+        let runs = vec![
+            vec![(0, A), (1, B), (2, A)],
+            vec![],
+            vec![],
+            vec![(1, u32::MAX), (3, A)],
+            vec![],
+            vec![(0, B), (2, u32::MAX)],
+            vec![(0, u32::MAX), (1, A), (3, B)],
+        ];
+        let s = Snapshot::from_bytes(cells_snapshot(&runs)).unwrap();
+        assert_eq!(
+            s.reverse(Ipv4Addr(A)),
+            vec![
+                (ServiceId(0), PrefixId(0)),
+                (ServiceId(0), PrefixId(2)),
+                (ServiceId(3), PrefixId(3)),
+                (ServiceId(6), PrefixId(1)),
+            ]
+        );
+        assert_eq!(
+            s.reverse(Ipv4Addr(u32::MAX)),
+            vec![
+                (ServiceId(3), PrefixId(1)),
+                (ServiceId(5), PrefixId(2)),
+                (ServiceId(6), PrefixId(0)),
+            ]
+        );
+        for a in probe_addrs(&s) {
+            assert_eq!(
+                s.reverse(Ipv4Addr(a)),
+                s.reverse_reference(Ipv4Addr(a)),
+                "{a:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn reverse_matches_the_reference_over_many_sparse_services() {
+        // 400 services, most of them empty, over a handful of addresses:
+        // the cursor must gallop across long stretches of empty runs.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let addrs = [0, 7, 0x0A00_0001, 0xC000_0201, u32::MAX];
+        let runs: Vec<Vec<(u32, u32)>> = (0..400)
+            .map(|_| {
+                if next() % 5 != 0 {
+                    return Vec::new();
+                }
+                let mut run = Vec::new();
+                for p in 0..40 {
+                    if next() % 3 == 0 {
+                        run.push((p, addrs[(next() % addrs.len() as u64) as usize]));
+                    }
+                }
+                run
+            })
+            .collect();
+        let s = Snapshot::from_bytes(cells_snapshot(&runs)).unwrap();
+        assert!(s.n_cells() > 100);
+        for a in probe_addrs(&s) {
+            let got = s.reverse(Ipv4Addr(a));
+            assert_eq!(got, s.reverse_reference(Ipv4Addr(a)), "{a:#x}");
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "{a:#x} out of order");
+        }
     }
 }
