@@ -38,7 +38,7 @@ use crate::map::TrafficMap;
 use itm_measure::Substrate;
 use itm_obs::quality::{DisagreementIndex, PairwiseAgreement, QualityReport, TechniqueAudit};
 use itm_obs::Verdict;
-use itm_topology::PrefixKind;
+use itm_topology::{PrefixKind, Topology};
 use itm_traffic::{DeliveryMode, Service};
 use itm_types::{Asn, GeoPoint, Ipv4Addr, PrefixId, ServiceId};
 use std::collections::BTreeMap;
@@ -95,7 +95,6 @@ impl MapClaims {
         let _span = itm_obs::span("map.claims");
         let n_prefixes = s.topo.prefixes.len();
         let n_ases = s.topo.n_ases();
-        let n_cities = s.topo.world.cities.len();
 
         let cache_prefix = map.cache_result.presence_claims(n_prefixes);
         let mut root_as = vec![false; n_ases];
@@ -118,31 +117,15 @@ impl MapClaims {
         }
 
         let mut tls_nearest_as = BTreeMap::new();
-        for (&svc, addrs) in &map.sni_footprints {
-            // (location, address, host AS) per confirmed front-end.
-            let resolved: Vec<(GeoPoint, Ipv4Addr, Asn)> = addrs
-                .iter()
-                .filter_map(|&a| {
-                    s.topo
-                        .prefixes
-                        .lookup(a)
-                        .map(|r| (s.topo.city_location(r.city), a, r.owner))
-                })
-                .collect();
-            if resolved.is_empty() {
-                continue;
+        if !map.sni_footprints.is_empty() {
+            let locs: Vec<GeoPoint> = s.topo.world.cities.iter().map(|c| c.location).collect();
+            let dist = CityDistances::new(&locs);
+            for (&svc, addrs) in &map.sni_footprints {
+                let fronts = resolve_fronts(&s.topo, addrs);
+                if !fronts.is_empty() {
+                    tls_nearest_as.insert(svc, nearest_front_per_city(&fronts, &dist));
+                }
             }
-            let mut per_city = Vec::with_capacity(n_cities);
-            for city in 0..n_cities as u32 {
-                let loc = s.topo.city_location(city);
-                let best = resolved.iter().min_by(|a, b| {
-                    a.0.distance_km(loc)
-                        .total_cmp(&b.0.distance_km(loc))
-                        .then(a.1.cmp(&b.1))
-                });
-                per_city.push(best.map(|&(_, _, host)| host));
-            }
-            tls_nearest_as.insert(svc, per_city);
         }
 
         let catalog_prior_as: Vec<Asn> = s
@@ -241,6 +224,76 @@ impl MapClaims {
     pub fn root_claim(&self, a: Asn) -> bool {
         self.root_as.get(a.index()).copied().unwrap_or(false)
     }
+}
+
+/// Great-circle distance between every pair of cities, computed once per
+/// claim recording.
+struct CityDistances {
+    n: usize,
+    /// `km[to * n + from]` = `location(from).distance_km(location(to))`,
+    /// the exact call a search over every front makes, so both read the
+    /// same bits. Row `to` holds every front city's distance to one
+    /// claimed city.
+    km: Vec<f64>,
+}
+
+impl CityDistances {
+    /// The table over cities `0..locs.len()`, city `c` at `locs[c]`.
+    fn new(locs: &[GeoPoint]) -> Self {
+        let n = locs.len();
+        let mut km = Vec::with_capacity(n * n);
+        for &to in locs {
+            km.extend(locs.iter().map(|&from| from.distance_km(to)));
+        }
+        CityDistances { n, km }
+    }
+
+    /// Distances from every city to city `to`, indexed by the from-city.
+    fn to_city(&self, to: usize) -> &[f64] {
+        &self.km[to * self.n..(to + 1) * self.n]
+    }
+}
+
+/// `(front city, address, host AS)` for each of a service's SNI-confirmed
+/// front-ends. An address in no routed prefix has no city or owner, so
+/// it is skipped.
+fn resolve_fronts(topo: &Topology, addrs: &[Ipv4Addr]) -> Vec<(u32, Ipv4Addr, Asn)> {
+    addrs
+        .iter()
+        .filter_map(|&a| topo.prefixes.lookup(a).map(|r| (r.city, a, r.owner)))
+        .collect()
+}
+
+/// Per city: the host AS of the front-end nearest to it, ties toward the
+/// smaller address.
+///
+/// Every front sits at its prefix's city centroid, so fronts in one city
+/// tie on distance and only the one with the smallest address can win.
+/// The fronts therefore collapse to one per city first, and each claimed
+/// city compares `(distance, address)` over those, reading distances from
+/// `dist`. The answer equals the minimum over all fronts.
+fn nearest_front_per_city(
+    fronts: &[(u32, Ipv4Addr, Asn)],
+    dist: &CityDistances,
+) -> Vec<Option<Asn>> {
+    let mut by_city = fronts.to_vec();
+    by_city.sort_unstable_by_key(|&(city, addr, _)| (city, addr));
+    by_city.dedup_by_key(|f| f.0);
+    (0..dist.n)
+        .map(|to| {
+            let row = dist.to_city(to);
+            let mut best: Option<(f64, Ipv4Addr, Asn)> = None;
+            for &(city, addr, owner) in &by_city {
+                let d = row[city as usize];
+                let nearer =
+                    best.is_none_or(|(bd, ba, _)| d.total_cmp(&bd).then(addr.cmp(&ba)).is_lt());
+                if nearer {
+                    best = Some((d, addr, owner));
+                }
+            }
+            best.map(|(_, _, owner)| owner)
+        })
+        .collect()
 }
 
 /// Replica-plane estimator names, in the fixed order claims are listed.
@@ -534,6 +587,106 @@ mod tests {
         };
         let m = TrafficMap::build(&s, &cfg).expect("map build");
         (s, m)
+    }
+
+    /// The per-front search `nearest_front_per_city` replaces: every
+    /// front against every other, two haversines per comparison.
+    fn nearest_front_reference(
+        fronts: &[(u32, Ipv4Addr, Asn)],
+        locs: &[GeoPoint],
+    ) -> Vec<Option<Asn>> {
+        locs.iter()
+            .map(|&loc| {
+                fronts
+                    .iter()
+                    .min_by(|a, b| {
+                        locs[a.0 as usize]
+                            .distance_km(loc)
+                            .total_cmp(&locs[b.0 as usize].distance_km(loc))
+                            .then(a.1.cmp(&b.1))
+                    })
+                    .map(|&(_, _, host)| host)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tls_table_matches_the_per_front_search() {
+        let (s, m) = build();
+        let locs: Vec<GeoPoint> = s.topo.world.cities.iter().map(|c| c.location).collect();
+        let dist = CityDistances::new(&locs);
+        let (mut services, mut shared_city) = (0, false);
+        for addrs in m.sni_footprints.values() {
+            let fronts = resolve_fronts(&s.topo, addrs);
+            assert_eq!(
+                nearest_front_per_city(&fronts, &dist),
+                nearest_front_reference(&fronts, &locs)
+            );
+            let mut cities: Vec<u32> = fronts.iter().map(|f| f.0).collect();
+            cities.sort_unstable();
+            cities.dedup();
+            shared_city |= cities.len() < fronts.len();
+            services += usize::from(!fronts.is_empty());
+        }
+        // The substrate exercises the collapse: some city hosts several
+        // fronts of one service.
+        assert!(services > 0 && shared_city);
+    }
+
+    #[test]
+    fn tls_table_hand_built_cases() {
+        // City 0 sits between cities 1 and 2, at equal distance from
+        // both; city 3 is nearer city 1.
+        let locs = [
+            GeoPoint::new(0.0, 0.0),
+            GeoPoint::new(10.0, 0.0),
+            GeoPoint::new(-10.0, 0.0),
+            GeoPoint::new(15.0, 0.0),
+        ];
+        assert_eq!(locs[1].distance_km(locs[0]), locs[2].distance_km(locs[0]));
+        let dist = CityDistances::new(&locs);
+        let check = |fronts: &[(u32, Ipv4Addr, Asn)]| {
+            let table = nearest_front_per_city(fronts, &dist);
+            assert_eq!(table, nearest_front_reference(fronts, &locs), "{fronts:?}");
+            table
+        };
+        let (a, b, c) = (Asn(1), Asn(2), Asn(3));
+
+        // Several fronts in one city: the smallest address wins everywhere.
+        let one_city = [
+            (1, Ipv4Addr(9), a),
+            (1, Ipv4Addr(5), b),
+            (1, Ipv4Addr(7), c),
+        ];
+        assert_eq!(check(&one_city), vec![Some(b); 4]);
+
+        // Two cities at equal distance: the smaller address wins city 0,
+        // whichever city it is in; city 3 takes its nearer city.
+        let tie = [(1, Ipv4Addr(20), a), (2, Ipv4Addr(10), b)];
+        assert_eq!(check(&tie), vec![Some(b), Some(a), Some(b), Some(a)]);
+        let tie = [(1, Ipv4Addr(10), a), (2, Ipv4Addr(20), b)];
+        assert_eq!(check(&tie), vec![Some(a), Some(a), Some(b), Some(a)]);
+
+        // No fronts: no claim.
+        assert_eq!(check(&[]), vec![None; 4]);
+    }
+
+    #[test]
+    fn unresolvable_front_addresses_are_skipped() {
+        let (s, m) = build();
+        let unrouted = [0u32, 1, 0xFFFF_FFFF, 0xE000_0001]
+            .into_iter()
+            .map(Ipv4Addr)
+            .find(|&a| s.topo.prefixes.lookup(a).is_none())
+            .expect("an unrouted address");
+        let addrs = m.sni_footprints.values().find(|v| !v.is_empty()).unwrap();
+        let mut with_unrouted = addrs.clone();
+        with_unrouted.insert(0, unrouted);
+        assert_eq!(
+            resolve_fronts(&s.topo, &with_unrouted),
+            resolve_fronts(&s.topo, addrs)
+        );
+        assert!(resolve_fronts(&s.topo, &[unrouted]).is_empty());
     }
 
     #[test]

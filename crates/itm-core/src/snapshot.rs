@@ -38,6 +38,18 @@ fn rel_code(kind: NeighborKind) -> u8 {
 pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
     let _span = itm_obs::span("map.snapshot");
 
+    // Claim bitmaps, aligned with the cell columns. The recorded table is
+    // in the same iteration order, so it maps through directly. Derived
+    // before any child span opens, so `map.claims` stays a direct child
+    // of `map.snapshot`.
+    let n_cells = map.user_mapping.mapping.len();
+    let mut cell_bits = match &map.claims {
+        Some(c) => c.cell_bits.clone(),
+        None => MapClaims::record(s, map).cell_bits,
+    };
+    cell_bits.resize(n_cells, bits::ECS | bits::CATALOG_PRIOR);
+
+    let columns_span = itm_obs::span("snapshot.columns");
     // ---- Domain table: catalogue order, exactly as the map build interns.
     let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
     let n_services = domains.len();
@@ -71,7 +83,6 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
     // ---- Cell columns: CellMap iteration is already (service, prefix)
     // sorted, so the service-major runs fall out of a single pass.
     let cells = &map.user_mapping.mapping;
-    let n_cells = cells.len();
     let mut cell_svc_off: Vec<u64> = vec![0; n_services + 1];
     let mut cell_prefix: Vec<u32> = Vec::with_capacity(n_cells);
     let mut cell_addr: Vec<u32> = Vec::with_capacity(n_cells);
@@ -86,15 +97,23 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
         cell_svc_off[i] += cell_svc_off[i - 1];
     }
 
-    // Claim bitmaps, aligned with the cell columns. The recorded table is
-    // in the same iteration order, so it maps through directly.
-    let mut cell_bits = match &map.claims {
-        Some(c) => c.cell_bits.clone(),
-        None => MapClaims::record(s, map).cell_bits,
-    };
-    cell_bits.resize(n_cells, bits::ECS | bits::CATALOG_PRIOR);
+    // ---- Route adjacency: the view's neighbor lists are sorted by ASN.
+    let n_ases = map.route_view.n_ases();
+    let mut route_off: Vec<u64> = Vec::with_capacity(n_ases + 1);
+    let mut route_nbr: Vec<u32> = Vec::new();
+    let mut route_kind: Vec<u8> = Vec::new();
+    route_off.push(0);
+    for a in 0..n_ases as u32 {
+        for &(nbr, kind) in map.route_view.neighbors(Asn(a)) {
+            route_nbr.push(nbr.raw());
+            route_kind.push(rel_code(kind));
+        }
+        route_off.push(route_nbr.len() as u64);
+    }
+    drop(columns_span);
 
     // Reverse index: cell indices ordered by (serving address, index).
+    let rev_span = itm_obs::span("snapshot.rev_index");
     let cell_rev = rev_index(&cell_addr);
 
     // ---- Front-end table: every distinct serving address the map knows —
@@ -127,24 +146,12 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
                 .unwrap_or(u32::MAX)
         })
         .collect();
-
-    // ---- Route adjacency: the view's neighbor lists are sorted by ASN.
-    let n_ases = map.route_view.n_ases();
-    let mut route_off: Vec<u64> = Vec::with_capacity(n_ases + 1);
-    let mut route_nbr: Vec<u32> = Vec::new();
-    let mut route_kind: Vec<u8> = Vec::new();
-    route_off.push(0);
-    for a in 0..n_ases as u32 {
-        for &(nbr, kind) in map.route_view.neighbors(Asn(a)) {
-            route_nbr.push(nbr.raw());
-            route_kind.push(rel_code(kind));
-        }
-        route_off.push(route_nbr.len() as u64);
-    }
+    drop(rev_span);
 
     // ---- Assemble, sections in id order. Each cell column is dropped as
     // soon as it is written, so the writer's buffer grows while they
     // shrink.
+    let _finish_span = itm_obs::span("snapshot.finish");
     let meta = [
         s.seed,
         n_ases as u64,
@@ -229,6 +236,7 @@ fn rev_index(addr: &[u32]) -> Vec<u32> {
 /// Serialize the map and write it to `path`, returning the byte length.
 pub fn write_snapshot(s: &Substrate, map: &TrafficMap, path: &str) -> Result<u64> {
     let bytes = snapshot_bytes(s, map);
+    let _span = itm_obs::span("snapshot.write_file");
     std::fs::write(path, &bytes)
         .map_err(|e| ItmError::config("snapshot_path", format!("cannot write {path}: {e}")))?;
     Ok(bytes.len() as u64)

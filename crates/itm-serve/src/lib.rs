@@ -112,7 +112,7 @@ pub struct Snapshot {
     route_kind: Sec,
 }
 
-/// All sections a v1 snapshot must carry, in id order.
+/// All sections a snapshot must carry, in id order.
 const REQUIRED: [u32; 17] = [
     section::META,
     section::DOM_OFF,

@@ -12,16 +12,17 @@
 //!   file can be memory-mapped and each section viewed as a typed column;
 //! * columns are **sorted** (cells by `(service, prefix)`, front-ends by
 //!   address, adjacency by neighbor ASN), so lookups are binary searches;
-//! * a **whole-file checksum** (FNV-1a 64 with the checksum field zeroed)
-//!   makes any single corrupted byte a hard open-time error.
+//! * a **whole-file checksum** (four lane-parallel 64-bit word hashes
+//!   folded FNV-style, with the checksum field read as zero; see
+//!   [`checksum`]) makes any single corrupted byte a hard open-time error.
 //!
 //! Layout (see DESIGN.md §14 for the full specification):
 //!
 //! ```text
 //! offset  0  magic    [u8; 8]  = "ITMSNAP\0"
-//! offset  8  version  u32      = 1
+//! offset  8  version  u32      = 2
 //! offset 12  n_sections u32
-//! offset 16  checksum u64      (FNV-1a 64 over the file, bytes 16..24 zeroed)
+//! offset 16  checksum u64      ([`checksum`] over the file, bytes 16..24 zeroed)
 //! offset 24  file_len u64
 //! offset 32  directory: n_sections × 32-byte entries
 //!            { id u32, reserved u32 = 0, offset u64, len u64, count u64 }
@@ -46,7 +47,10 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"ITMSNAP\0";
 
 /// Current snapshot schema version. Bump on any layout or semantic change.
-pub const VERSION: u32 = 1;
+///
+/// Version 2 changed only the [`checksum`] function (version 1 used a
+/// byte-serial FNV-1a 64); every section byte is the same as in version 1.
+pub const VERSION: u32 = 2;
 
 /// Byte size of one directory entry.
 pub const DIR_ENTRY_SIZE: usize = 32;
@@ -168,17 +172,84 @@ pub mod claim {
     }
 }
 
-/// Whole-file checksum: FNV-1a 64 over `bytes` with the checksum field
-/// (bytes 16..24) treated as zero, so the stored value can live inside
-/// the region it covers.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (i, b) in bytes.iter().enumerate() {
-        let v = if (16..24).contains(&i) { 0 } else { *b };
-        h ^= v as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// Odd multiplier of the lane step (2^64 divided by the golden ratio).
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Starting value of each of the four checksum lanes.
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+/// FNV-1a 64 offset basis and prime, used by the final fold.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// One lane step: xor in a word, multiply by an odd constant, xorshift.
+/// Each of the three operations is a bijection, so for a fixed lane the
+/// result is a bijection of the word, and for a fixed word a bijection
+/// of the lane.
+#[inline]
+fn lane_step(lane: u64, word: u64) -> u64 {
+    let x = (lane ^ word).wrapping_mul(LANE_MUL);
+    x ^ (x >> 32)
+}
+
+/// Feed one 32-byte block to the four lanes, one little-endian word each.
+#[inline]
+fn absorb(lanes: &mut [u64; 4], block: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(word);
+        *lane = lane_step(*lane, u64::from_le_bytes(w));
     }
-    h
+}
+
+/// One FNV-style fold step: xor in a value, multiply by the FNV prime.
+#[inline]
+fn fnv_step(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(FNV_PRIME)
+}
+
+/// Whole-file checksum, with the checksum field (bytes 16..24) read as
+/// zero, so the stored value can live inside the region it covers.
+///
+/// The file is cut into 32-byte blocks. Word `k` (0..4) of every block
+/// goes to lane `k` through [`lane_step`], so the four lanes are
+/// independent dependency chains the CPU runs side by side. The bytes
+/// after the last whole block are then hashed one at a time, and the
+/// four lanes, those tail bytes and the byte length are folded together
+/// with FNV-1a 64 steps.
+///
+/// Every step is a bijection in the value it takes in, with everything
+/// else held fixed. A change to any one byte outside 16..24 therefore
+/// changes exactly one lane word or one tail byte, every later step
+/// carries the difference through, and the checksum changes: the same
+/// guarantee byte-serial FNV-1a gives.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    let tail = blocks.remainder();
+    if let Some(first) = blocks.next() {
+        let mut head = [0u8; 32];
+        head.copy_from_slice(first);
+        head[16..24].fill(0);
+        absorb(&mut lanes, &head);
+        for block in blocks {
+            absorb(&mut lanes, block);
+        }
+    }
+    let mut h = lanes.iter().fold(FNV_OFFSET, |h, &lane| fnv_step(h, lane));
+    let tail_start = bytes.len() - tail.len();
+    for (k, &b) in tail.iter().enumerate() {
+        let v = if (16..24).contains(&(tail_start + k)) {
+            0
+        } else {
+            b
+        };
+        h = fnv_step(h, v as u64);
+    }
+    fnv_step(h, bytes.len() as u64)
 }
 
 /// One parsed directory entry.
@@ -260,7 +331,8 @@ impl fmt::Display for SnapError {
             SnapError::BadVersion { found } => {
                 write!(
                     f,
-                    "unsupported snapshot version {found} (reader speaks {VERSION})"
+                    "unsupported snapshot version {found} (reader speaks {VERSION}); \
+                     rebuild the snapshot with `repro --snapshot`"
                 )
             }
             SnapError::LengthMismatch { header, actual } => {
@@ -342,9 +414,10 @@ impl SnapWriter {
     /// Add a `u32` column section (`count` = element count).
     pub fn section_u32(&mut self, id: u32, data: &[u32]) {
         self.section(id, data.len() as u64, |out| {
-            out.reserve(data.len() * 4);
-            for v in data {
-                out.extend_from_slice(&v.to_le_bytes());
+            let start = out.len();
+            out.resize(start + data.len() * 4, 0);
+            for (dst, v) in out[start..].chunks_exact_mut(4).zip(data) {
+                dst.copy_from_slice(&v.to_le_bytes());
             }
         });
     }
@@ -352,9 +425,10 @@ impl SnapWriter {
     /// Add a `u64` column section (`count` = element count).
     pub fn section_u64(&mut self, id: u32, data: &[u64]) {
         self.section(id, data.len() as u64, |out| {
-            out.reserve(data.len() * 8);
-            for v in data {
-                out.extend_from_slice(&v.to_le_bytes());
+            let start = out.len();
+            out.resize(start + data.len() * 8, 0);
+            for (dst, v) in out[start..].chunks_exact_mut(8).zip(data) {
+                dst.copy_from_slice(&v.to_le_bytes());
             }
         });
     }
@@ -539,6 +613,59 @@ mod tests {
         let sum = checksum(&a);
         a[16..24].copy_from_slice(&[0xFF; 8]);
         assert_eq!(checksum(&a), sum);
+    }
+
+    /// A fixed, non-trivial test buffer of `len` bytes.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    #[test]
+    fn checksum_known_answers() {
+        // Pinned outputs: a change to `checksum` changes the format, so it
+        // must come with a `VERSION` bump and new values here. 256 bytes is
+        // whole 32-byte blocks only; 77 bytes ends in a 13-byte tail.
+        assert_eq!(checksum(&pattern(256)), 0x2c212b8cad0ee41a);
+        assert_eq!(checksum(&pattern(77)), 0x69ffc137b1d0a7f2);
+        // Short inputs are all tail, and still skip bytes 16..24.
+        assert_eq!(
+            checksum(&pattern(20)),
+            checksum(&[&pattern(16)[..], &[0; 4]].concat())
+        );
+    }
+
+    #[test]
+    fn version_one_files_are_rejected() {
+        let mut bytes = tiny();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let sum = checksum(&bytes);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(parse_dir(&bytes), Err(SnapError::BadVersion { found: 1 }));
+        let msg = SnapError::BadVersion { found: 1 }.to_string();
+        assert!(msg.contains("repro --snapshot"), "{msg}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn checksum_sees_every_byte_but_its_own_field(
+            buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=300),
+            mask in 1u8..=255,
+        ) {
+            let sum = checksum(&buf);
+            for i in 0..buf.len() {
+                let mut flipped = buf.clone();
+                flipped[i] ^= mask;
+                let own_field = (16..24).contains(&i);
+                proptest::prop_assert!(
+                    (checksum(&flipped) == sum) == own_field,
+                    "flipping byte {} of {} (own field: {})",
+                    i,
+                    buf.len(),
+                    own_field
+                );
+            }
+        }
     }
 
     #[test]
