@@ -1229,7 +1229,7 @@ fn write_metrics(out_dir: &str, map: Option<&TrafficMap>) {
 /// recording incremental-vs-full speedup rows to the `BENCH_epoch.json`
 /// trajectory.
 fn run_epochs(args: &Args, epochs: u32) -> ! {
-    use itm_core::{apply_epoch, build_incremental, map_fingerprint};
+    use itm_core::{apply_epoch, build_incremental, map_fingerprint_of};
     ensure_out_dir(&args.out_dir);
     let metrics_path = format!("{}/epoch_metrics.json", args.out_dir);
     require_writable_file(&metrics_path);
@@ -1261,15 +1261,28 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
         ..Default::default()
     };
 
-    let write_snap = |s: &Substrate, map: &TrafficMap, epoch: u32| {
+    // Each map is serialized once: its fingerprint, the verify comparison
+    // and its snapshot files all read the same bytes.
+    let serialize = |s: &Substrate, map: &TrafficMap| {
+        let bytes = itm_core::snapshot_bytes(s, map);
+        let fingerprint = map_fingerprint_of(&bytes, map);
+        (bytes, fingerprint)
+    };
+    let write_snap = |bytes: &[u8], path: &str| match itm_core::write_snapshot_bytes(bytes, path) {
+        Ok(n) => eprintln!("  wrote {path} ({n} bytes)"),
+        Err(e) => {
+            eprintln!("cannot write snapshot {path}: {e}");
+            std::process::exit(2);
+        }
+    };
+    // Every epoch's snapshot lands at `<base>.epochK`; the final epoch's
+    // also at the base path, so query and diff tooling finds the freshest
+    // map without a suffix.
+    let write_epoch_snaps = |bytes: &[u8], epoch: u32| {
         let Some(base) = &snap_base else { return };
-        let path = format!("{base}.epoch{epoch}");
-        match itm_core::write_snapshot(s, map, &path) {
-            Ok(n) => eprintln!("  wrote {path} ({n} bytes)"),
-            Err(e) => {
-                eprintln!("cannot write snapshot {path}: {e}");
-                std::process::exit(2);
-            }
+        write_snap(bytes, &format!("{base}.epoch{epoch}"));
+        if epoch > 0 && epoch == epochs {
+            write_snap(bytes, base);
         }
     };
 
@@ -1285,7 +1298,10 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
         full0_ms,
         map.user_mapping.mapping.len()
     );
-    write_snap(&s, &map, 0);
+    let (bytes, fingerprint) = serialize(&s, &map);
+    write_epoch_snaps(&bytes, 0);
+    // Not held through the next epoch's build.
+    drop(bytes);
 
     let mut rows: Vec<serde_json::Value> = Vec::new();
     let mut bench_rows: Vec<serde_json::Value> = Vec::new();
@@ -1295,7 +1311,7 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
         "dirty": Vec::<&str>::new(),
         "build_ms": full0_ms,
         "mapping_cells": map.user_mapping.mapping.len() as u64,
-        "fingerprint": format!("{:016x}", map_fingerprint(&s, &map)),
+        "fingerprint": format!("{fingerprint:016x}"),
     }));
 
     for epoch in 1..=epochs {
@@ -1309,22 +1325,21 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
             dirty.names().join(" "),
             inc_ms
         );
+        let (bytes, fingerprint) = serialize(&s, &map);
         rows.push(serde_json::json!({
             "epoch": u64::from(epoch),
             "actions": actions.len() as u64,
             "dirty": dirty.names(),
             "build_ms": inc_ms,
             "mapping_cells": map.user_mapping.mapping.len() as u64,
-            "fingerprint": format!("{:016x}", map_fingerprint(&s, &map)),
+            "fingerprint": format!("{fingerprint:016x}"),
         }));
         if args.epoch_verify {
             let t = Instant::now();
             let full = TrafficMap::build_with(&s, &map_cfg, &exec).expect("map build");
             let full_ms = t.elapsed().as_millis() as u64;
-            let identical = itm_core::snapshot_bytes(&s, &map)
-                == itm_core::snapshot_bytes(&s, &full)
-                && map_fingerprint(&s, &map) == map_fingerprint(&s, &full);
-            if !identical {
+            let (full_bytes, full_fingerprint) = serialize(&s, &full);
+            if full_bytes != bytes || full_fingerprint != fingerprint {
                 eprintln!(
                     "epoch {epoch}: INCREMENTAL MAP DIVERGED from the \
                      from-scratch rebuild (plan {}, seed {})",
@@ -1353,19 +1368,7 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
                 "byte_identical": true,
             }));
         }
-        write_snap(&s, &map, epoch);
-    }
-
-    // The final epoch's snapshot also lands at the base path, so query
-    // and diff tooling finds the freshest map without a suffix.
-    if let (Some(base), true) = (&snap_base, epochs > 0) {
-        match itm_core::write_snapshot(&s, &map, base) {
-            Ok(n) => eprintln!("  wrote {base} ({n} bytes)"),
-            Err(e) => {
-                eprintln!("cannot write snapshot {base}: {e}");
-                std::process::exit(2);
-            }
-        }
+        write_epoch_snaps(&bytes, epoch);
     }
 
     let doc = serde_json::json!({

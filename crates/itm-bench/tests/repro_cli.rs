@@ -696,6 +696,7 @@ fn epoch_loop_honours_metrics() {
         "--seed",
         "29",
         "--metrics",
+        "--snapshot",
         "--out",
         dir.to_str().unwrap(),
     ]);
@@ -705,19 +706,28 @@ fn epoch_loop_honours_metrics() {
     let v: serde_json::Value = serde_json::from_str(&text).unwrap();
 
     // The span tree covers the epoch-0 full build and the incremental
-    // rebuild, each with the resolver deploy under it.
+    // rebuild. One pipeline runs under both roots, so each has the same
+    // five phase children whether its components were retained or rerun.
     let spans = match v.get("spans") {
         Some(serde_json::Value::Object(m)) => m,
         other => panic!("metrics.json lacks the span tree: {other:?}"),
     };
-    for path in [
-        "map.build",
-        "map.build/users.activity/resolver.deploy",
-        "epoch.apply",
-        "map.build_incremental",
-        "map.build_incremental/resolver.deploy",
-    ] {
-        assert!(spans.get(path).is_some(), "no span {path}: {text}");
+    assert!(
+        spans.get("epoch.apply").is_some(),
+        "no span epoch.apply: {text}"
+    );
+    for root in ["map.build", "map.build_incremental"] {
+        assert!(spans.get(root).is_some(), "no span {root}: {text}");
+        for child in [
+            "resolver.deploy",
+            "users.activity",
+            "services.scan",
+            "services.anycast",
+            "routes.assemble",
+        ] {
+            let path = format!("{root}/{child}");
+            assert!(spans.get(&path).is_some(), "no span {path}: {text}");
+        }
     }
     assert!(
         v.get("resources").is_some(),
@@ -725,6 +735,24 @@ fn epoch_loop_honours_metrics() {
     );
     // The per-epoch rows are still written alongside.
     assert!(dir.join("epoch_metrics.json").exists());
+    // Each map is serialized once, for its fingerprint and its files: two
+    // maps, three files (the final epoch's again at the base path).
+    assert_eq!(snapshot_span_counts(&dir), (2, 3));
+}
+
+/// The `(map.snapshot, snapshot.write_file)` span counts in
+/// `<dir>/metrics.json`.
+fn snapshot_span_counts(dir: &std::path::Path) -> (u64, u64) {
+    let text = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let count = |path: &str| {
+        v.get("spans")
+            .and_then(|s| s.get(path))
+            .and_then(|s| s.get("count"))
+            .and_then(|c| c.as_u64())
+            .unwrap_or_else(|| panic!("no span {path}: {text}"))
+    };
+    (count("map.snapshot"), count("snapshot.write_file"))
 }
 
 #[test]
@@ -742,6 +770,7 @@ fn epoch_loop_runs_end_to_end_and_verifies_byte_identity() {
         "light",
         "--epoch-verify",
         "--snapshot",
+        "--metrics",
         "--out",
         dir.to_str().unwrap(),
         "--bench-out",
@@ -750,6 +779,9 @@ fn epoch_loop_runs_end_to_end_and_verifies_byte_identity() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("verified byte-identical"), "{err}");
+    // Three epoch maps plus a from-scratch map per churn epoch, each
+    // serialized once; four files (epochs 0..=2, then the base path).
+    assert_eq!(snapshot_span_counts(&dir), (5, 4));
 
     // Per-epoch metrics rows: epoch 0 is the full build, later epochs
     // carry their dirty campaign lists and changed fingerprints.

@@ -5,10 +5,13 @@
 //! [`apply_epoch`] resolves its action indices against deterministic
 //! eligibility lists and applies them in place — and reports a
 //! [`DirtySet`]: the campaigns (and, for user mapping, the individual
-//! services) those mutations invalidate. [`build_incremental`] then
-//! recomputes exactly the dirty campaigns and retains every clean
-//! component from the previous map, splicing re-measured user-mapping
-//! services over the retained cell grid segment-by-segment.
+//! services) those mutations invalidate. [`build_incremental`] then runs
+//! the map pipeline (`crate::map::assemble`, the same one a full build
+//! runs) with the previous map: each clean component is retained, each
+//! dirty one is recomputed after its predecessor is dropped, and
+//! re-measured user-mapping services are spliced over the retained cell
+//! grid segment-by-segment. A full build is this rebuild with every
+//! campaign dirty.
 //!
 //! The contract, asserted by `tests/epoch_incremental.rs` and the CI
 //! `epoch` job: the incremental map is **byte-identical** (snapshot bytes
@@ -21,24 +24,20 @@
 //! recomputing it. The dirty model in [`itm_types::epoch`] records which
 //! substrate inputs each mutation touches.
 //!
-//! One intentional divergence: the incremental path does not re-emit
-//! per-cell `EdgeAsserted` trace events for retained cells (the trace is
-//! an observability stream, not part of the map; snapshot bytes and the
-//! fingerprint do not cover it).
+//! One intentional divergence: only a full build asserts per-cell
+//! `EdgeAsserted` trace events, so an incremental rebuild does not re-emit
+//! them for retained cells (the trace is an observability stream, not
+//! part of the map; snapshot bytes and the fingerprint do not cover it).
 
 use crate::exec::ParallelExecutor;
 use crate::map::{MapConfig, TrafficMap};
 use crate::snapshot::snapshot_bytes;
-use itm_measure::{ActivityEstimator, CloudProbeResult, Substrate, UserMapping};
-use itm_routing::{AnycastDeployment, Catchments, CollectorSet};
-use itm_tls::{detect_offnets, SniScan, TlsScan};
+use itm_measure::Substrate;
 use itm_topology::AsClass;
 use itm_traffic::DeliveryMode;
-use itm_types::epoch::{Campaign, DirtySet, EpochAction, EpochBounds, EpochPlan};
-use itm_types::{
-    Asn, DomainTable, FaultInjector, FaultStats, Ipv4Addr, ItmError, Result, ServiceId,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use itm_types::epoch::{DirtySet, EpochAction, EpochBounds, EpochPlan};
+use itm_types::{Asn, FaultStats, Result, ServiceId};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
 // Eligibility lists: the deterministic orderings EpochAction indices
@@ -118,13 +117,7 @@ pub fn apply_epoch(
     let links = flappable_links(s);
     let vms = cloud_vm_sites(s);
     let services = rehomeable_services(s);
-    let bounds = EpochBounds {
-        n_resolver_sites: sites.len() as u32,
-        n_flappable_links: links.len() as u32,
-        n_cloud_vms: vms.len() as u32,
-        n_ecs_services: services.len() as u32,
-    };
-    let actions = plan.actions(&s.seeds, epoch, &bounds);
+    let actions = plan.actions(&s.seeds, epoch, &epoch_bounds(s));
     let dirty = DirtySet::from_actions(&actions, |i| services[i as usize]);
 
     let mut churned: BTreeSet<Asn> = BTreeSet::new();
@@ -181,232 +174,7 @@ pub fn build_incremental(
         return Ok(prev);
     }
     let _span = itm_obs::span("map.build_incremental");
-    let injector = |campaign: &str| FaultInjector::new(cfg.faults.clone(), &s.seeds, campaign);
-
-    let TrafficMap {
-        user_prefixes: _,
-        activity: prev_activity,
-        onnet_servers: prev_onnet,
-        offnet_servers: prev_offnet,
-        sni_footprints: prev_sni,
-        user_mapping: prev_mapping,
-        catchments: prev_catchments,
-        route_view: prev_route_view,
-        visibility: prev_visibility,
-        cache_result: prev_cache,
-        root_result: prev_root,
-        cloud_result: prev_cloud,
-        fault_report: prev_report,
-        claims: _,
-    } = prev;
-
-    // The resolver is a pure function of the substrate, redeployed every
-    // epoch. Deploying it is one nearest-PoP pass over the prefixes; the
-    // PoP-wide rate table (a `prefixes × services` demand sweep) is built
-    // lazily, only if cache probing re-runs and reads it.
-    let resolver_span = itm_obs::span("resolver.deploy");
-    let resolver = s
-        .open_resolver()
-        .map_err(|e| ItmError::in_campaign("map.build_incremental", e))?;
-    drop(resolver_span);
-
-    // A recomputed component's predecessor is dropped before its
-    // replacement is built: it is never read again, and freeing it first
-    // lowers the epoch's peak.
-
-    // ---- Component 1: users + activity ----
-    let cache_result = if dirty.is_dirty(Campaign::CacheProbe) {
-        drop(prev_cache);
-        cfg.cache_probe
-            .run_with_faults(s, &resolver, &injector("cache_probe"), |n, job| {
-                exec.map(n, job)
-            })
-    } else {
-        prev_cache
-    };
-    let root_result = if dirty.is_dirty(Campaign::RootCrawl) {
-        drop(prev_root);
-        cfg.root_crawl
-            .run_with_faults(s, &resolver, &injector("root_crawl"), |n, job| {
-                exec.map(n, job)
-            })
-    } else {
-        prev_root
-    };
-    let activity = if dirty.is_dirty(Campaign::Activity) {
-        drop(prev_activity);
-        ActivityEstimator::fuse_with(s, &cache_result, &root_result, |n, job| exec.map(n, job))
-    } else {
-        prev_activity
-    };
-    let user_prefixes = cache_result.discovered.clone();
-
-    // ---- Component 2: services ----
-    // The SNI scan resolves against the TLS scan's candidate table, so
-    // the pair recomputes together (no current mutation dirties either;
-    // the branch exists for future mutation kinds and custom plans).
-    let (onnet_servers, offnet_servers, sni_footprints, scan_stats) =
-        if dirty.is_dirty(Campaign::TlsScan) || dirty.is_dirty(Campaign::SniScan) {
-            let scan = TlsScan::run_with_faults(
-                &s.topo,
-                &s.tls,
-                &cfg.scan,
-                &s.seeds,
-                &injector("tls-scan"),
-                |n, job| exec.map(n, job),
-            );
-            let (onnet, offnet) = detect_offnets(&s.topo, &s.tls, &scan);
-            let candidates: Vec<Ipv4Addr> = scan.observations.iter().map(|o| o.addr).collect();
-            let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
-            let sni = SniScan::run_with_faults(
-                &s.tls,
-                &candidates,
-                &domains,
-                &cfg.scan,
-                &s.seeds,
-                &injector("sni-scan"),
-                |n, job| exec.map(n, job),
-            );
-            let footprints: BTreeMap<ServiceId, Vec<Ipv4Addr>> = s
-                .catalog
-                .services
-                .iter()
-                .map(|svc| (svc.id, sni.addresses_of(&domains, &svc.domain).to_vec()))
-                .collect();
-            (
-                onnet,
-                offnet,
-                footprints,
-                Some((scan.fault_stats, sni.fault_stats)),
-            )
-        } else {
-            (prev_onnet, prev_offnet, prev_sni, None)
-        };
-
-    let user_mapping = if dirty.is_dirty(Campaign::UserMapping) {
-        if dirty.services.is_empty() {
-            // Dirty with no named services = invalidated wholesale.
-            drop(prev_mapping);
-            UserMapping::measure_with_faults(s, &resolver, &injector("user_mapping"), |n, job| {
-                exec.map(n, job)
-            })
-        } else {
-            // The dominant phase's payoff: re-measure only the re-homed
-            // services and splice their segments over the retained grid.
-            let fresh = UserMapping::measure_subset_with_faults(
-                s,
-                &resolver,
-                &dirty.services,
-                &injector("user_mapping"),
-                |n, job| exec.map(n, job),
-            );
-            prev_mapping.splice(fresh, &dirty.services)
-        }
-    } else {
-        prev_mapping
-    };
-
-    // Ground-truth view for catchments and cloud probing; cheap to derive
-    // and only consulted by the dirty branches below.
-    let full = s.full_view();
-    let anycast_span = itm_obs::span("services.anycast");
-    let catchments = if dirty.is_dirty(Campaign::Anycast) {
-        drop(prev_catchments);
-        let anycast_services: Vec<ServiceId> = s
-            .catalog
-            .services
-            .iter()
-            .filter(|svc| svc.mode == DeliveryMode::Anycast)
-            .map(|svc| svc.id)
-            .collect();
-        let computed = exec.map(anycast_services.len(), &|k| {
-            let svc = anycast_services[k];
-            let sites: Vec<(Asn, u32)> = s
-                .frontends
-                .endpoints(svc)
-                .iter()
-                .map(|e| {
-                    let host = e.offnet_host.unwrap_or(e.asn);
-                    (host, e.city)
-                })
-                .collect();
-            let dep = AnycastDeployment::new(&s.topo, &sites, cfg.anycast_noise);
-            (
-                svc,
-                Catchments::compute(&s.topo, &full, &dep, &s.seeds.child("map-anycast")),
-            )
-        });
-        computed.into_iter().collect()
-    } else {
-        prev_catchments
-    };
-    drop(anycast_span);
-
-    // ---- Component 3: routes ----
-    let routes_span = itm_obs::span("routes.assemble");
-    let (route_view, visibility, cloud_result) = if dirty.is_dirty(Campaign::Routes) {
-        drop((prev_route_view, prev_visibility, prev_cloud));
-        let collectors = CollectorSet::typical(&s.topo, &s.seeds);
-        let (public_view, visibility) = collectors.public_view(&s.topo);
-        let cloud_result = CloudProbeResult::run_with_faults(
-            s,
-            &full,
-            &s.seeds,
-            &injector("cloud_probe"),
-            |n, job| exec.map(n, job),
-        );
-        let extra = cloud_result.as_links(s);
-        let route_view = public_view.with_extra_links(extra.iter());
-        (route_view, visibility, cloud_result)
-    } else {
-        (prev_route_view, prev_visibility, prev_cloud)
-    };
-    drop(routes_span);
-
-    // Fault accounting: fresh stats for recomputed campaigns, the
-    // previous build's entries (identical by the purity argument) for
-    // retained ones. Same keys and gating as the full build.
-    let mut fault_report: BTreeMap<String, FaultStats> = BTreeMap::new();
-    if !cfg.faults.is_off() {
-        fault_report.insert("cache_probe".into(), cache_result.fault_stats);
-        fault_report.insert("root_crawl".into(), root_result.fault_stats);
-        match &scan_stats {
-            Some((tls, sni)) => {
-                fault_report.insert("tls_scan".into(), *tls);
-                fault_report.insert("sni_scan".into(), *sni);
-            }
-            None => {
-                for key in ["tls_scan", "sni_scan"] {
-                    if let Some(st) = prev_report.get(key) {
-                        fault_report.insert(key.into(), *st);
-                    }
-                }
-            }
-        }
-        fault_report.insert("ecs_mapping".into(), user_mapping.fault_stats);
-        fault_report.insert("cloud_probe".into(), cloud_result.fault_stats);
-    }
-
-    let mut map = TrafficMap {
-        user_prefixes,
-        activity,
-        onnet_servers,
-        offnet_servers,
-        sni_footprints,
-        user_mapping,
-        catchments,
-        route_view,
-        visibility,
-        cache_result,
-        root_result,
-        cloud_result,
-        fault_report,
-        claims: None,
-    };
-    if cfg.record_claims {
-        map.claims = Some(crate::audit::MapClaims::record(s, &map));
-    }
-    Ok(map)
+    crate::map::assemble(s, cfg, exec, Some((prev, dirty)))
 }
 
 // ---------------------------------------------------------------------------
@@ -466,8 +234,15 @@ impl Digest {
 /// campaign outputs, and fault accounting — the equality the epoch
 /// differential tests assert between incremental and full builds.
 pub fn map_fingerprint(s: &Substrate, map: &TrafficMap) -> u64 {
+    map_fingerprint_of(&snapshot_bytes(s, map), map)
+}
+
+/// [`map_fingerprint`] over already-serialized snapshot bytes, for a
+/// caller that also writes or compares those bytes and should serialize
+/// the map only once. `snapshot` must be `snapshot_bytes(s, map)`.
+pub fn map_fingerprint_of(snapshot: &[u8], map: &TrafficMap) -> u64 {
     let mut h = Digest::new();
-    h.bytes(&snapshot_bytes(s, map));
+    h.bytes(snapshot);
 
     h.u64(map.activity.len() as u64);
     for (asn, e) in map.activity.iter() {
@@ -618,6 +393,58 @@ mod tests {
                 "epoch {epoch}: fingerprint diverged"
             );
         }
+    }
+
+    /// Rebuild `prev` under `dirty` and check it against a from-scratch
+    /// build. `prev`'s TLS/SNI outputs are cleared first, so the check
+    /// fails unless the pipeline really recomputed that pair.
+    fn assert_recomputes(s: &Substrate, mut prev: TrafficMap, dirty: &DirtySet) -> TrafficMap {
+        let cfg = MapConfig::default();
+        let exec = ParallelExecutor::sequential();
+        prev.onnet_servers.clear();
+        prev.offnet_servers.clear();
+        prev.sni_footprints.clear();
+        let map = build_incremental(s, &cfg, &exec, prev, dirty).expect("incremental");
+        let full = TrafficMap::build_with(s, &cfg, &exec).expect("full rebuild");
+        assert_eq!(snapshot_bytes(s, &map), snapshot_bytes(s, &full));
+        assert_eq!(map_fingerprint(s, &map), map_fingerprint(s, &full));
+        map
+    }
+
+    #[test]
+    fn every_recompute_branch_matches_full_rebuild() {
+        use itm_types::epoch::Campaign;
+        let mut s = substrate();
+        let stale = TrafficMap::build(&s, &MapConfig::default()).expect("seed build");
+        for epoch in 0..2u32 {
+            apply_epoch(&mut s, &EpochPlan::heavy(), epoch);
+        }
+        // Every campaign dirty and no named services: the stale map's
+        // re-homed user mapping is re-measured wholesale, not spliced.
+        let every = DirtySet {
+            campaigns: [
+                Campaign::CacheProbe,
+                Campaign::RootCrawl,
+                Campaign::Activity,
+                Campaign::TlsScan,
+                Campaign::SniScan,
+                Campaign::UserMapping,
+                Campaign::Anycast,
+                Campaign::CloudProbe,
+                Campaign::Routes,
+            ]
+            .into(),
+            services: BTreeSet::new(),
+        };
+        let map = assert_recomputes(&s, stale, &every);
+        // Only the TLS scan dirty (closed over to its SNI scan): the pair
+        // reruns and everything else is retained.
+        let mut tls = DirtySet {
+            campaigns: [Campaign::TlsScan].into(),
+            services: BTreeSet::new(),
+        };
+        tls.normalize();
+        assert_recomputes(&s, map, &tls);
     }
 
     #[test]

@@ -48,12 +48,14 @@ pub mod weighted;
 
 pub use audit::{audit, CellVerdict, MapClaims};
 pub use coverage::{CoverageReport, Table1Row};
-pub use epoch::{apply_epoch, build_incremental, epoch_bounds, map_fingerprint};
+pub use epoch::{
+    apply_epoch, build_incremental, epoch_bounds, map_fingerprint, map_fingerprint_of,
+};
 pub use exec::ParallelExecutor;
 pub use map::{MapConfig, TrafficMap};
 pub use outage::{OutageImpact, OutageScenario};
 pub use predict::{PredictionExperiment, PredictionReport};
 pub use recommend::{PeeringRecommender, RecommendationEval};
-pub use snapshot::{snapshot_bytes, write_snapshot};
+pub use snapshot::{snapshot_bytes, write_snapshot, write_snapshot_bytes};
 pub use summary::MapSummary;
 pub use weighted::{AnycastAnalysis, PathLengthAnalysis};

@@ -10,6 +10,15 @@
 //! 3. **Routes** (§3.3): the public collector view augmented with
 //!    cloud-VM-discovered links; paths predicted on demand.
 //!
+//! There is one pipeline, `assemble`, and both builds run it. Each map
+//! component is retained from a previous map while its campaign is clean
+//! and recomputed otherwise: a full build has no previous map, so every
+//! campaign runs, and [`crate::epoch::build_incremental`] passes the
+//! previous epoch's map with the campaigns its churn dirtied. Both roots
+//! (`map.build`, `map.build_incremental`) carry the same five phase spans:
+//! `resolver.deploy`, `users.activity`, `services.scan`,
+//! `services.anycast` and `routes.assemble`.
+//!
 //! The result is self-contained and serializable (minus the prediction
 //! view, which is recomputed from stored links).
 
@@ -18,11 +27,13 @@ use itm_measure::{
     ActivityEstimator, CacheProbeCampaign, CacheProbeResult, CloudProbeResult, RootCrawlResult,
     RootCrawler, Substrate, UserMapping,
 };
+use itm_obs::trace::{self, EventKind, Subjects, Technique};
 use itm_routing::{
     AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree, VisibilityReport,
 };
 use itm_tls::{detect_offnets, OffnetFinding, ScanConfig, SniScan, TlsScan};
 use itm_traffic::DeliveryMode;
+use itm_types::epoch::{Campaign, DirtySet};
 use itm_types::{
     Asn, DomainTable, FaultInjector, FaultPlan, FaultStats, Ipv4Addr, ItmError, PrefixId, Result,
     ServiceId,
@@ -123,180 +134,9 @@ impl TrafficMap {
         exec: &ParallelExecutor,
     ) -> Result<TrafficMap> {
         let _span = itm_obs::span("map.build");
-        let _campaign = itm_obs::trace::campaign(
-            itm_obs::trace::Technique::MapAssembly,
-            "traffic map assembly",
-        );
-
-        let injector = |campaign: &str| FaultInjector::new(cfg.faults.clone(), &s.seeds, campaign);
-
-        // ---- Component 1: users + activity ----
-        let users_span = itm_obs::span("users.activity");
-        let resolver_span = itm_obs::span("resolver.deploy");
-        let resolver = s
-            .open_resolver()
-            .map_err(|e| ItmError::in_campaign("map.build", e))?;
-        drop(resolver_span);
-        let cache_result =
-            cfg.cache_probe
-                .run_with_faults(s, &resolver, &injector("cache_probe"), |n, job| {
-                    exec.map(n, job)
-                });
-        let root_result =
-            cfg.root_crawl
-                .run_with_faults(s, &resolver, &injector("root_crawl"), |n, job| {
-                    exec.map(n, job)
-                });
-        let activity =
-            ActivityEstimator::fuse_with(s, &cache_result, &root_result, |n, job| exec.map(n, job));
-        let user_prefixes = cache_result.discovered.clone();
-        drop(users_span);
-
-        // ---- Component 2: services ----
-        let services_span = itm_obs::span("services.scan");
-        let scan = TlsScan::run_with_faults(
-            &s.topo,
-            &s.tls,
-            &cfg.scan,
-            &s.seeds,
-            &injector("tls-scan"),
-            |n, job| exec.map(n, job),
-        );
-        let (onnet_servers, offnet_servers) = detect_offnets(&s.topo, &s.tls, &scan);
-        let candidates: Vec<Ipv4Addr> = scan.observations.iter().map(|o| o.addr).collect();
-        // Intern the catalogue's domains once; the SNI campaign and its
-        // shards carry 4-byte ids instead of cloned strings.
-        let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
-        let sni = SniScan::run_with_faults(
-            &s.tls,
-            &candidates,
-            &domains,
-            &cfg.scan,
-            &s.seeds,
-            &injector("sni-scan"),
-            |n, job| exec.map(n, job),
-        );
-        let sni_footprints: BTreeMap<ServiceId, Vec<Ipv4Addr>> = s
-            .catalog
-            .services
-            .iter()
-            .map(|svc| (svc.id, sni.addresses_of(&domains, &svc.domain).to_vec()))
-            .collect();
-        let user_mapping =
-            UserMapping::measure_with_faults(s, &resolver, &injector("user_mapping"), |n, job| {
-                exec.map(n, job)
-            });
-        drop(services_span);
-
-        // Anycast catchments for anycast services: one shard per anycast
-        // service, merged into a BTreeMap (disjoint service keys).
-        let anycast_span = itm_obs::span("services.anycast");
-        let full = s.full_view();
-        let anycast_services: Vec<ServiceId> = s
-            .catalog
-            .services
-            .iter()
-            .filter(|svc| svc.mode == DeliveryMode::Anycast)
-            .map(|svc| svc.id)
-            .collect();
-        let computed = exec.map(anycast_services.len(), &|k| {
-            let svc = anycast_services[k];
-            let sites: Vec<(Asn, u32)> = s
-                .frontends
-                .endpoints(svc)
-                .iter()
-                .map(|e| {
-                    let host = e.offnet_host.unwrap_or(e.asn);
-                    (host, e.city)
-                })
-                .collect();
-            let dep = AnycastDeployment::new(&s.topo, &sites, cfg.anycast_noise);
-            (
-                svc,
-                Catchments::compute(&s.topo, &full, &dep, &s.seeds.child("map-anycast")),
-            )
-        });
-        let catchments: BTreeMap<ServiceId, Catchments> = computed.into_iter().collect();
-        drop(anycast_span);
-
-        // ---- Component 3: routes ----
-        let routes_span = itm_obs::span("routes.assemble");
-        let collectors = CollectorSet::typical(&s.topo, &s.seeds);
-        let (public_view, visibility) = collectors.public_view(&s.topo);
-        let cloud_result = CloudProbeResult::run_with_faults(
-            s,
-            &full,
-            &s.seeds,
-            &injector("cloud_probe"),
-            |n, job| exec.map(n, job),
-        );
-        let extra = cloud_result.as_links(s);
-        let route_view = public_view.with_extra_links(extra.iter());
-        drop(routes_span);
-
-        // Assert the map's edges into the trace: one event per measured
-        // (service, prefix) cell, each linking the serving address and AS
-        // so provenance queries can join it back to the observations that
-        // produced it. CellMap iteration is sorted by (service, prefix),
-        // so the event stream is byte-stable without an explicit sort.
-        if itm_obs::trace::enabled() {
-            let cells: Vec<(ServiceId, PrefixId, Ipv4Addr)> = user_mapping
-                .mapping
-                .iter()
-                .map(|c| (c.service, c.prefix, c.addr))
-                .collect();
-            for (svc, p, addr) in cells {
-                let serving_as = s.topo.prefixes.lookup(addr).map(|r| r.owner);
-                let mut subjects = itm_obs::trace::Subjects::none()
-                    .prefix(p.raw())
-                    .service(svc.raw())
-                    .addr(addr.0);
-                if let Some(owner) = serving_as {
-                    subjects = subjects.asn(owner.raw());
-                }
-                itm_obs::trace::emit(
-                    itm_obs::trace::Technique::MapAssembly,
-                    itm_obs::trace::EventKind::EdgeAsserted,
-                    subjects,
-                    &s.catalog.get(svc).domain,
-                );
-            }
-        }
-
-        // Per-technique fault accounting. Populated only when the plan is
-        // on: a clean build carries no report, which keeps its JSON
-        // summary byte-identical to builds that predate fault injection.
-        let mut fault_report: BTreeMap<String, FaultStats> = BTreeMap::new();
-        if !cfg.faults.is_off() {
-            fault_report.insert("cache_probe".into(), cache_result.fault_stats);
-            fault_report.insert("root_crawl".into(), root_result.fault_stats);
-            fault_report.insert("tls_scan".into(), scan.fault_stats);
-            fault_report.insert("sni_scan".into(), sni.fault_stats);
-            fault_report.insert("ecs_mapping".into(), user_mapping.fault_stats);
-            fault_report.insert("cloud_probe".into(), cloud_result.fault_stats);
-        }
-
-        let mut map = TrafficMap {
-            user_prefixes,
-            activity,
-            onnet_servers,
-            offnet_servers,
-            sni_footprints,
-            user_mapping,
-            catchments,
-            route_view,
-            visibility,
-            cache_result,
-            root_result,
-            cloud_result,
-            fault_report,
-            claims: None,
-        };
-        // Claim recording reads the assembled map, so it runs last; gated
-        // because the tables cost memory a clean build must not pay.
-        if cfg.record_claims {
-            map.claims = Some(crate::audit::MapClaims::record(s, &map));
-        }
+        let _campaign = trace::campaign(Technique::MapAssembly, "traffic map assembly");
+        let map = assemble(s, cfg, exec, None)?;
+        assert_edges(s, &map);
         Ok(map)
     }
 
@@ -348,6 +188,280 @@ impl TrafficMap {
             addrs.extend(v.iter().map(|a| a.0));
         }
         addrs.len()
+    }
+}
+
+/// A previous map's components, grouped as the pipeline retains or
+/// recomputes them. Empty on a full build, so every campaign runs.
+#[derive(Default)]
+struct Kept {
+    cache: Option<CacheProbeResult>,
+    root: Option<RootCrawlResult>,
+    activity: Option<ActivityEstimator>,
+    /// On-net servers, off-net servers and SNI footprints. The SNI scan
+    /// resolves against the TLS scan's candidate table, so the pair is
+    /// retained or recomputed together.
+    scans: Option<(
+        Vec<OffnetFinding>,
+        Vec<OffnetFinding>,
+        BTreeMap<ServiceId, Vec<Ipv4Addr>>,
+    )>,
+    mapping: Option<UserMapping>,
+    catchments: Option<BTreeMap<ServiceId, Catchments>>,
+    routes: Option<(GraphView, VisibilityReport, CloudProbeResult)>,
+    fault_report: BTreeMap<String, FaultStats>,
+}
+
+/// Retain `kept` while its campaign is clean; otherwise drop it and run.
+/// The predecessor is never read again, and freeing it before its
+/// replacement is built lowers an epoch's peak.
+fn retain_or_run<T>(kept: Option<T>, dirty: bool, run: impl FnOnce() -> T) -> T {
+    match kept {
+        Some(v) if !dirty => v,
+        stale => {
+            drop(stale);
+            run()
+        }
+    }
+}
+
+/// The map pipeline behind both [`TrafficMap::build_with`] (`prev` is
+/// `None`: every campaign runs) and [`crate::epoch::build_incremental`]
+/// (only the campaigns `dirty` names run; the rest of `prev` is kept).
+///
+/// The five phase spans (`resolver.deploy`, `users.activity`,
+/// `services.scan`, `services.anycast`, `routes.assemble`) open under the
+/// caller's root span whether their components are retained or rerun.
+pub(crate) fn assemble(
+    s: &Substrate,
+    cfg: &MapConfig,
+    exec: &ParallelExecutor,
+    prev: Option<(TrafficMap, &DirtySet)>,
+) -> Result<TrafficMap> {
+    let (kept, dirty, root) = match prev {
+        Some((m, dirty)) => {
+            let kept = Kept {
+                cache: Some(m.cache_result),
+                root: Some(m.root_result),
+                activity: Some(m.activity),
+                scans: Some((m.onnet_servers, m.offnet_servers, m.sni_footprints)),
+                mapping: Some(m.user_mapping),
+                catchments: Some(m.catchments),
+                routes: Some((m.route_view, m.visibility, m.cloud_result)),
+                fault_report: m.fault_report,
+            };
+            (kept, Some(dirty), "map.build_incremental")
+        }
+        None => (Kept::default(), None, "map.build"),
+    };
+    let rerun = |c: Campaign| dirty.is_none_or(|d| d.is_dirty(c));
+    let injector = |campaign: &str| FaultInjector::new(cfg.faults.clone(), &s.seeds, campaign);
+    // Per-technique fault accounting, kept only when the plan is on: a
+    // clean build carries no report, which keeps its JSON summary
+    // byte-identical to builds that predate fault injection. The previous
+    // map's entries stand for retained campaigns (identical by purity);
+    // every campaign that runs overwrites its own.
+    let faults_on = !cfg.faults.is_off();
+    let mut fault_report = kept.fault_report;
+
+    // The resolver is a pure function of the substrate, deployed on every
+    // build: one nearest-PoP pass over the prefixes. User mapping reads it
+    // as well as the user campaigns. Its PoP-wide rate table (a
+    // `prefixes × services` demand sweep) is built lazily, only if cache
+    // probing runs and reads it.
+    let resolver_span = itm_obs::span("resolver.deploy");
+    let resolver = s
+        .open_resolver()
+        .map_err(|e| ItmError::in_campaign(root, e))?;
+    drop(resolver_span);
+
+    // ---- Component 1: users + activity ----
+    let users_span = itm_obs::span("users.activity");
+    let cache_result = retain_or_run(kept.cache, rerun(Campaign::CacheProbe), || {
+        cfg.cache_probe
+            .run_with_faults(s, &resolver, &injector("cache_probe"), |n, job| {
+                exec.map(n, job)
+            })
+    });
+    let root_result = retain_or_run(kept.root, rerun(Campaign::RootCrawl), || {
+        cfg.root_crawl
+            .run_with_faults(s, &resolver, &injector("root_crawl"), |n, job| {
+                exec.map(n, job)
+            })
+    });
+    let activity = retain_or_run(kept.activity, rerun(Campaign::Activity), || {
+        ActivityEstimator::fuse_with(s, &cache_result, &root_result, |n, job| exec.map(n, job))
+    });
+    let user_prefixes = cache_result.discovered.clone();
+    drop(users_span);
+
+    // ---- Component 2: services ----
+    let services_span = itm_obs::span("services.scan");
+    let scans_dirty = rerun(Campaign::TlsScan) || rerun(Campaign::SniScan);
+    let (onnet_servers, offnet_servers, sni_footprints) =
+        retain_or_run(kept.scans, scans_dirty, || {
+            let scan = TlsScan::run_with_faults(
+                &s.topo,
+                &s.tls,
+                &cfg.scan,
+                &s.seeds,
+                &injector("tls-scan"),
+                |n, job| exec.map(n, job),
+            );
+            let (onnet, offnet) = detect_offnets(&s.topo, &s.tls, &scan);
+            let candidates: Vec<Ipv4Addr> = scan.observations.iter().map(|o| o.addr).collect();
+            // Intern the catalogue's domains once; the SNI campaign and its
+            // shards carry 4-byte ids instead of cloned strings.
+            let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
+            let sni = SniScan::run_with_faults(
+                &s.tls,
+                &candidates,
+                &domains,
+                &cfg.scan,
+                &s.seeds,
+                &injector("sni-scan"),
+                |n, job| exec.map(n, job),
+            );
+            if faults_on {
+                fault_report.insert("tls_scan".into(), scan.fault_stats);
+                fault_report.insert("sni_scan".into(), sni.fault_stats);
+            }
+            let footprints = s
+                .catalog
+                .services
+                .iter()
+                .map(|svc| (svc.id, sni.addresses_of(&domains, &svc.domain).to_vec()))
+                .collect();
+            (onnet, offnet, footprints)
+        });
+    // Re-homed services are re-measured alone and spliced over the
+    // retained grid segment by segment; a mapping dirty with no named
+    // services is re-measured wholesale.
+    let rehomed = dirty.map(|d| &d.services).filter(|svcs| !svcs.is_empty());
+    let user_mapping = match (kept.mapping, rehomed) {
+        (Some(prev), Some(svcs)) if rerun(Campaign::UserMapping) => {
+            let fresh = UserMapping::measure_subset_with_faults(
+                s,
+                &resolver,
+                svcs,
+                &injector("user_mapping"),
+                |n, job| exec.map(n, job),
+            );
+            prev.splice(fresh, svcs)
+        }
+        (kept, _) => retain_or_run(kept, rerun(Campaign::UserMapping), || {
+            UserMapping::measure_with_faults(s, &resolver, &injector("user_mapping"), |n, job| {
+                exec.map(n, job)
+            })
+        }),
+    };
+    drop(services_span);
+
+    // Anycast catchments for anycast services: one shard per anycast
+    // service, merged into a BTreeMap (disjoint service keys).
+    let anycast_span = itm_obs::span("services.anycast");
+    let full = s.full_view();
+    let catchments = retain_or_run(kept.catchments, rerun(Campaign::Anycast), || {
+        let anycast_services: Vec<ServiceId> = s
+            .catalog
+            .services
+            .iter()
+            .filter(|svc| svc.mode == DeliveryMode::Anycast)
+            .map(|svc| svc.id)
+            .collect();
+        exec.map(anycast_services.len(), &|k| {
+            let svc = anycast_services[k];
+            let sites: Vec<(Asn, u32)> = s
+                .frontends
+                .endpoints(svc)
+                .iter()
+                .map(|e| (e.offnet_host.unwrap_or(e.asn), e.city))
+                .collect();
+            let dep = AnycastDeployment::new(&s.topo, &sites, cfg.anycast_noise);
+            (
+                svc,
+                Catchments::compute(&s.topo, &full, &dep, &s.seeds.child("map-anycast")),
+            )
+        })
+        .into_iter()
+        .collect()
+    });
+    drop(anycast_span);
+
+    // ---- Component 3: routes ----
+    // Route assembly folds in the cloud-probed links, so the pair is
+    // retained or recomputed together.
+    let routes_span = itm_obs::span("routes.assemble");
+    let routes_dirty = rerun(Campaign::CloudProbe) || rerun(Campaign::Routes);
+    let (route_view, visibility, cloud_result) = retain_or_run(kept.routes, routes_dirty, || {
+        let collectors = CollectorSet::typical(&s.topo, &s.seeds);
+        let (public_view, visibility) = collectors.public_view(&s.topo);
+        let cloud_result = CloudProbeResult::run_with_faults(
+            s,
+            &full,
+            &s.seeds,
+            &injector("cloud_probe"),
+            |n, job| exec.map(n, job),
+        );
+        let route_view = public_view.with_extra_links(cloud_result.as_links(s).iter());
+        (route_view, visibility, cloud_result)
+    });
+    drop(routes_span);
+
+    if faults_on {
+        fault_report.insert("cache_probe".into(), cache_result.fault_stats);
+        fault_report.insert("root_crawl".into(), root_result.fault_stats);
+        fault_report.insert("ecs_mapping".into(), user_mapping.fault_stats);
+        fault_report.insert("cloud_probe".into(), cloud_result.fault_stats);
+    }
+
+    let mut map = TrafficMap {
+        user_prefixes,
+        activity,
+        onnet_servers,
+        offnet_servers,
+        sni_footprints,
+        user_mapping,
+        catchments,
+        route_view,
+        visibility,
+        cache_result,
+        root_result,
+        cloud_result,
+        fault_report,
+        claims: None,
+    };
+    // Claim recording reads the assembled map, so it runs last; gated
+    // because the tables cost memory a clean build must not pay.
+    if cfg.record_claims {
+        map.claims = Some(crate::audit::MapClaims::record(s, &map));
+    }
+    Ok(map)
+}
+
+/// Assert the map's edges into the trace: one event per measured
+/// (service, prefix) cell, each linking the serving address and AS so
+/// provenance queries can join it back to the observations that produced
+/// it. CellMap iteration is sorted by (service, prefix), so the event
+/// stream is byte-stable without an explicit sort.
+fn assert_edges(s: &Substrate, map: &TrafficMap) {
+    if !trace::enabled() {
+        return;
+    }
+    for c in map.user_mapping.mapping.iter() {
+        let mut subjects = Subjects::none()
+            .prefix(c.prefix.raw())
+            .service(c.service.raw())
+            .addr(c.addr.0);
+        if let Some(r) = s.topo.prefixes.lookup(c.addr) {
+            subjects = subjects.asn(r.owner.raw());
+        }
+        trace::emit(
+            Technique::MapAssembly,
+            EventKind::EdgeAsserted,
+            subjects,
+            &s.catalog.get(c.service).domain,
+        );
     }
 }
 

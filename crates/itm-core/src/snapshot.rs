@@ -235,9 +235,14 @@ fn rev_index(addr: &[u32]) -> Vec<u32> {
 
 /// Serialize the map and write it to `path`, returning the byte length.
 pub fn write_snapshot(s: &Substrate, map: &TrafficMap, path: &str) -> Result<u64> {
-    let bytes = snapshot_bytes(s, map);
+    write_snapshot_bytes(&snapshot_bytes(s, map), path)
+}
+
+/// Write already-serialized snapshot bytes to `path`, returning their
+/// length.
+pub fn write_snapshot_bytes(bytes: &[u8], path: &str) -> Result<u64> {
     let _span = itm_obs::span("snapshot.write_file");
-    std::fs::write(path, &bytes)
+    std::fs::write(path, bytes)
         .map_err(|e| ItmError::config("snapshot_path", format!("cannot write {path}: {e}")))?;
     Ok(bytes.len() as u64)
 }
